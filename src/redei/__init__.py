@@ -45,7 +45,6 @@ from .symbol import (
     MinRamWitness,
     ReciprocityReport,
     SymbolTrace,
-    SymbolTriple,
     TwistingGroup,
     minimally_ramified_witness,
     p_part,
@@ -57,4 +56,24 @@ from .symbol import (
     witness_from_solution,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # arith
+    "INFINITY", "SignedPrimeDecomposition", "discriminant", "factor", "hilbert",
+    "hilbert_product", "kronecker", "signed_prime_decomposition", "square_class",
+    # conic
+    "ConicSolution", "enumerate_solutions", "is_solvable", "solve",
+    # oracle
+    "ClassGroup", "FormClass", "compose", "enumerate_classes", "narrow_ranks",
+    # quadfield
+    "INERT", "RAMIFIED", "SPLIT", "DegreeOnePrime", "DyadicUnitClass", "QuadElt",
+    "dyadic_embedding", "dyadic_unit_class", "is_conductor_two", "primes_above",
+    "residue_symbol",
+    # redeimatrix
+    "RedeiMatrixR4", "RedeiMatrixR8", "SecondKindDecomposition", "build_R4", "build_R8",
+    "fundamental_discriminant", "governing_r4_check", "r2", "r4", "r8", "ranks",
+    "second_kind_decompositions",
+    # symbol
+    "MinRamWitness", "ReciprocityReport", "SymbolTrace", "TwistingGroup",
+    "minimally_ramified_witness", "p_part", "redei_symbol", "twist_witness",
+    "twisting_group", "validate_triple", "verify_reciprocity", "witness_from_solution",
+]

@@ -13,6 +13,7 @@ from functools import lru_cache
 
 from .errors import (
     FactorLimitExceeded,
+    InvariantViolated,
     NotFundamental,
     ProductFormulaViolated,
     TrivialClass,
@@ -40,6 +41,10 @@ _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)  # increments mod 30 starting from 7
 def _trial_bound() -> int:
     env = os.environ.get("REDEI_FACTOR_BOUND")
     return int(env) if env else DEFAULT_TRIAL_BOUND
+
+
+# the bound factor() uses by default: read at import, and again by each cli.main
+trial_bound = _trial_bound()
 
 
 @lru_cache(maxsize=None)
@@ -79,9 +84,7 @@ def factor(n: int, bound: int | None = None) -> list[tuple[int, int]]:
     """
     if n == 0:
         raise ZeroInput("cannot factor 0")
-    if bound is None:
-        bound = _trial_bound()
-    return list(_factor_abs(abs(int(n)), bound))
+    return list(_factor_abs(abs(int(n)), trial_bound if bound is None else bound))
 
 
 def prime_divisors(n: int) -> list[int]:
@@ -189,7 +192,8 @@ def signed_prime_decomposition(D: int) -> SignedPrimeDecomposition:
     for part in odd:
         prod *= part
     two_part = D // prod
-    assert two_part in (1, -4, 8, -8)
+    if two_part not in (1, -4, 8, -8):
+        raise InvariantViolated(f"2-part {two_part} of {D}")
     return SignedPrimeDecomposition(odd_parts=odd, two_part=two_part)
 
 
@@ -214,11 +218,6 @@ def padic_val(q, p: int) -> int:
         q //= p
         v += 1
     return v
-
-
-def unit_part(q, p: int) -> Fraction:
-    """q / p**v_p(q), a p-unit."""
-    return Fraction(q) / Fraction(p) ** padic_val(q, p)
 
 
 def mod_p(q, p: int) -> int:

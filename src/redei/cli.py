@@ -3,7 +3,8 @@
 JSON output (--json) is versioned ("schema": 1) and byte-deterministic: identical
 invocations produce identical bytes, so timing is only emitted on request
 (--timing) or in the human-readable text. Exit codes: 0 ok, 1 verification
-counterexample, 2 invalid triple, 3 degenerate arguments, 4 factorization limit.
+counterexample, 2 invalid triple, 3 degenerate arguments, 4 factorization limit,
+5 bad input, 6 any other library error.
 """
 
 from __future__ import annotations
@@ -14,24 +15,31 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from itertools import combinations
 
+from . import arith
 from .arith import INFINITY, hilbert_product, square_class
 from .conic import enumerate_solutions
 from .errors import (
+    BoundExceeded,
     DegenerateSquareClass,
     FactorLimitExceeded,
     InvalidTriple,
+    NotFundamental,
+    NotSquarefree,
     RedeiError,
+    TrivialClass,
+    ZeroInput,
 )
 from .oracle import narrow_ranks
 from .redeimatrix import fundamental_discriminant, governing_r4_check, ranks
 from .symbol import (
     _symbol_from_witness,
+    is_valid_triple,
     minimally_ramified_witness,
     redei_symbol,
     twist_witness,
     twisting_group,
-    validate_triple,
     verify_reciprocity,
     witness_from_solution,
 )
@@ -43,6 +51,21 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_INVALID = 2
 EXIT_DEGENERATE = 3
 EXIT_FACTOR_LIMIT = 4
+EXIT_BAD_INPUT = 5
+EXIT_ERROR = 6
+
+# library error -> (exit code, stderr prefix); the first matching row wins
+_EXITS = (
+    (FactorLimitExceeded, EXIT_FACTOR_LIMIT, "factorization limit"),
+    (DegenerateSquareClass, EXIT_DEGENERATE, "degenerate"),
+    (InvalidTriple, EXIT_INVALID, "invalid triple"),
+    (
+        (ZeroInput, TrivialClass, NotSquarefree, NotFundamental, BoundExceeded),
+        EXIT_BAD_INPUT,
+        "bad input",
+    ),
+    (RedeiError, EXIT_ERROR, "error"),
+)
 
 
 def _emit(record: dict, as_json: bool, text: str):
@@ -58,15 +81,7 @@ def _place_key(v) -> str:
 
 def cmd_symbol(args) -> int:
     t0 = time.monotonic()
-    try:
-        trace = redei_symbol(args.a, args.b, args.c)
-    except InvalidTriple as exc:
-        for v in exc.violations:
-            print(f"invalid triple: {v}", file=sys.stderr)
-        return EXIT_INVALID
-    except DegenerateSquareClass as exc:
-        print(f"degenerate: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    trace = redei_symbol(args.a, args.b, args.c)
     record = {
         "schema": SCHEMA,
         "command": "symbol",
@@ -124,6 +139,8 @@ def cmd_ranks(args) -> int:
 
 
 # --- verification sweeps ----------------------------------------------------
+# A suite pairs work(size, seed), the list of items it checks, with item(x),
+# the counterexamples found at one item.
 
 
 def _squarefree_values(bound: int) -> list[int]:
@@ -135,9 +152,13 @@ def _squarefree_values(bound: int) -> list[int]:
     return sorted(out, key=abs)
 
 
+def _reciprocity_work(max_entry: int, seed: int) -> list:
+    return list(combinations(_squarefree_values(max_entry), 3))
+
+
 def _reciprocity_item(triple) -> list:
     a, b, c = triple
-    if validate_triple(a, b, c):
+    if not is_valid_triple(a, b, c):
         return []
     rep = verify_reciprocity(a, b, c)
     if not rep.consistent:
@@ -145,21 +166,8 @@ def _reciprocity_item(triple) -> list:
     return []
 
 
-def _sweep_reciprocity(max_entry: int, jobs: int, seed: int):
-    values = _squarefree_values(max_entry)
-    work = []
-    n = len(values)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                work.append((values[i], values[j], values[k]))
-    checked = 0
-    violations = []
-    for out in _map_jobs(_reciprocity_item, work, jobs):
-        if out:
-            violations.extend(out)
-        checked += 1
-    return checked, sorted(violations)
+def _oracle_work(bound: int, seed: int) -> list:
+    return [D for D in range(-bound, bound + 1) if arith.is_fundamental_discriminant(D)]
 
 
 def _oracle_item(D: int) -> list:
@@ -172,15 +180,15 @@ def _oracle_item(D: int) -> list:
     return []
 
 
-def _sweep_oracle(bound: int, jobs: int, seed: int):
-    from .arith import is_fundamental_discriminant
-
-    work = [D for D in range(-bound, bound + 1) if is_fundamental_discriminant(D)]
-    checked, violations = 0, []
-    for out in _map_jobs(_oracle_item, work, jobs):
-        violations.extend(out)
-        checked += 1
-    return checked, sorted(violations)
+def _product_work(count: int, seed: int) -> list:
+    rng = random.Random(seed)
+    work = []
+    while len(work) < count:
+        a = rng.randint(-(10**6), 10**6)
+        b = rng.randint(-(10**6), 10**6)
+        if a and b:
+            work.append((a, b))
+    return work
 
 
 def _product_item(pair) -> list:
@@ -192,21 +200,6 @@ def _product_item(pair) -> list:
         return [(a, b)]
 
 
-def _sweep_product(count: int, jobs: int, seed: int):
-    rng = random.Random(seed)
-    work = []
-    while len(work) < count:
-        a = rng.randint(-(10**6), 10**6)
-        b = rng.randint(-(10**6), 10**6)
-        if a and b:
-            work.append((a, b))
-    checked, violations = 0, []
-    for out in _map_jobs(_product_item, work, jobs):
-        violations.extend(out)
-        checked += 1
-    return checked, sorted(violations)
-
-
 def _random_valid_triples(count: int, seed: int, entry_bound: int = 60):
     rng = random.Random(seed)
     found = []
@@ -214,7 +207,7 @@ def _random_valid_triples(count: int, seed: int, entry_bound: int = 60):
         a, b, c = (square_class(rng.randint(2, entry_bound) * rng.choice((1, -1))) for _ in range(3))
         if len({a, b, c}) != 3 or 1 in (a, b, c):
             continue
-        if validate_triple(a, b, c):
+        if not is_valid_triple(a, b, c):
             continue
         found.append((a, b, c))
     return found
@@ -237,29 +230,20 @@ def _twist_item(triple) -> list:
     return bad
 
 
-def _sweep_twists(count: int, jobs: int, seed: int):
-    work = _random_valid_triples(count, seed)
-    checked, violations = 0, []
-    for out in _map_jobs(_twist_item, work, jobs):
-        violations.extend(out)
-        checked += 1
-    return checked, sorted(violations)
+def _governing_work(bound: int, seed: int) -> list:
+    return [(d, bound) for d in (-1, 2, -2, 3, -3, 5)]
 
 
-def _sweep_governing(bound: int, jobs: int, seed: int):
-    checked, violations = 0, []
-    for d in (-1, 2, -2, 3, -3, 5):
-        violations.extend(governing_r4_check(d, bound).violations)
-        checked += 1
-    return checked, sorted(violations)
+def _governing_item(job) -> list:
+    return governing_r4_check(*job).violations
 
 
 _SUITES = {
-    "reciprocity": (_sweep_reciprocity, 30),
-    "oracle": (_sweep_oracle, 2000),
-    "product-formula": (_sweep_product, 1000),
-    "twist-independence": (_sweep_twists, 50),
-    "governing": (_sweep_governing, 2000),
+    "reciprocity": (_reciprocity_work, _reciprocity_item, 30),
+    "oracle": (_oracle_work, _oracle_item, 2000),
+    "product-formula": (_product_work, _product_item, 1000),
+    "twist-independence": (_random_valid_triples, _twist_item, 50),
+    "governing": (_governing_work, _governing_item, 2000),
 }
 
 
@@ -274,9 +258,11 @@ def _map_jobs(fn, work, jobs):
 
 def cmd_verify(args) -> int:
     t0 = time.monotonic()
-    sweep, default_max = _SUITES[args.suite]
+    work_of, item, default_max = _SUITES[args.suite]
     n = args.max if args.max is not None else default_max
-    checked, violations = sweep(n, args.jobs, args.seed)
+    work = work_of(n, args.seed)
+    checked = len(work)
+    violations = sorted(v for out in _map_jobs(item, work, args.jobs) for v in out)
     record = {
         "schema": SCHEMA,
         "command": "verify",
@@ -333,18 +319,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    saved, arith.trial_bound = arith.trial_bound, arith._trial_bound()
     try:
         return args.fn(args)
-    except FactorLimitExceeded as exc:
-        print(f"factorization limit: {exc}", file=sys.stderr)
-        return EXIT_FACTOR_LIMIT
-    except DegenerateSquareClass as exc:
-        print(f"degenerate: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except InvalidTriple as exc:
-        for v in exc.violations:
-            print(f"invalid triple: {v}", file=sys.stderr)
-        return EXIT_INVALID
+    except RedeiError as exc:
+        code, prefix = next(row[1:] for row in _EXITS if isinstance(exc, row[0]))
+        for line in exc.violations if isinstance(exc, InvalidTriple) else [exc]:
+            print(f"{prefix}: {line}", file=sys.stderr)
+        return code
+    finally:
+        arith.trial_bound = saved
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .arith import hilbert, hilbert_places
-from .errors import NotSolvable, SearchExhausted, ZeroInput
+from .errors import InvariantViolated, NotSolvable, SearchExhausted, ZeroInput
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,10 @@ class ConicSolution:
     def __post_init__(self):
         if self.x == self.y == self.z == 0:
             raise ZeroInput("the zero triple is not a solution")
-        assert self.x**2 - self.a * self.y**2 - self.b * self.z**2 == 0
-        assert gcd(gcd(self.x, self.y), self.z) == 1
+        if self.x**2 - self.a * self.y**2 - self.b * self.z**2 != 0:
+            raise InvariantViolated(f"{self} is not on the conic")
+        if gcd(gcd(self.x, self.y), self.z) != 1:
+            raise InvariantViolated(f"{self} is not primitive")
 
 
 def is_solvable(a: int, b: int) -> bool:

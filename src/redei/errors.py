@@ -77,6 +77,10 @@ class BoundExceeded(RedeiError):
     pass
 
 
+class InvariantViolated(RedeiError):
+    """A stated invariant of a value or of an intermediate result failed."""
+
+
 class InvalidTriple(RedeiError):
     def __init__(self, violations):
         self.violations = list(violations)

@@ -3,34 +3,15 @@
 from __future__ import annotations
 
 
-def rank(rows: list[int], ncols: int) -> int:
-    """Rank over GF(2) via Gaussian elimination with lowest-column pivots."""
-    work = [r for r in rows if r]
-    rk = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rk, len(work)):
-            if (work[i] >> col) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[rk], work[pivot] = work[pivot], work[rk]
-        for i in range(len(work)):
-            if i != rk and ((work[i] >> col) & 1):
-                work[i] ^= work[rk]
-        rk += 1
-        if rk == len(work):
-            break
-    return rk
-
-
 def rref(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form; returns (pivot column list, reduced nonzero rows)."""
-    work = list(rows)
+    """Reduced row echelon form by Gaussian elimination with lowest-column pivots;
+    returns (pivot column list, reduced nonzero rows)."""
+    work = [r for r in rows if r]
     pivots = []
     r = 0
     for col in range(ncols):
+        if r == len(work):
+            break
         pivot = None
         for i in range(r, len(work)):
             if (work[i] >> col) & 1:
@@ -45,6 +26,11 @@ def rref(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
         pivots.append(col)
         r += 1
     return pivots, work[:r]
+
+
+def rank(rows: list[int], ncols: int) -> int:
+    """Rank over GF(2)."""
+    return len(rref(rows, ncols)[0])
 
 
 def nullspace_basis(rows: list[int], ncols: int) -> list[int]:
@@ -64,4 +50,10 @@ def nullspace_basis(rows: list[int], ncols: int) -> list[int]:
 
 
 def in_span(vec: int, rows: list[int], ncols: int) -> bool:
-    return rank(rows + [vec], ncols) == rank(rows, ncols)
+    """Whether vec is a sum of rows: it reduces to 0 on the first ncols columns
+    against their echelon form."""
+    pivots, red = rref(rows, ncols)
+    for prow, pcol in zip(red, pivots):
+        if (vec >> pcol) & 1:
+            vec ^= prow
+    return vec & ((1 << ncols) - 1) == 0

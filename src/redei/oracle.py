@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .arith import is_fundamental_discriminant
-from .errors import BoundExceeded, DiscriminantMismatch, NotFundamental
+from .errors import BoundExceeded, DiscriminantMismatch, InvariantViolated, NotFundamental
 
 DEFAULT_ORACLE_BOUND = 10**6
 
@@ -99,10 +99,12 @@ def _compose_raw(f1, f2, D: int) -> tuple[int, int, int]:
     d, u2, v2 = _xgcd(d1, s)
     a3 = (a1 // d) * (a2 // d)
     num = u2 * u1 * a1 * b2 + u2 * v1 * a2 * b1 + v2 * (b1 * b2 + D) // 2
-    assert num % d == 0
+    if num % d:
+        raise InvariantViolated(f"composition of {f1} and {f2}: {d} does not divide {num}")
     b3 = (num // d) % (2 * a3)
-    c3 = (b3 * b3 - D) // (4 * a3)
-    assert (b3 * b3 - D) % (4 * a3) == 0
+    c3, rem = divmod(b3 * b3 - D, 4 * a3)
+    if rem:
+        raise InvariantViolated(f"composition of {f1} and {f2}: no form ({a3}, {b3}, c)")
     return a3, b3, c3
 
 
@@ -128,7 +130,8 @@ class ClassGroup:
             f = form
             seen = set()
             while not _is_reduced_indefinite(*f, D):
-                assert f not in seen, "reduction did not terminate"
+                if f in seen:
+                    raise InvariantViolated(f"reduction of {form} did not terminate")
                 seen.add(f)
                 f = _rho(*f, D, isq)
             A, B, C = self._canon[f]
@@ -138,15 +141,6 @@ class ClassGroup:
         if f.D != g.D or f.D != self.D:
             raise DiscriminantMismatch("forms of different discriminants")
         return self._classify(_compose_raw((f.A, f.B, f.C), (g.A, g.B, g.C), self.D))
-
-    def power(self, f: FormClass, n: int) -> FormClass:
-        out, base = self.identity, f
-        while n > 0:
-            if n & 1:
-                out = self.compose(out, base)
-            base = self.compose(base, base)
-            n >>= 1
-        return out
 
     def inverse(self, f: FormClass) -> FormClass:
         return self._classify((f.A, -f.B, f.C))

@@ -18,6 +18,7 @@ from functools import lru_cache
 from .arith import discriminant, kronecker, mod_p, padic_val
 from .errors import (
     InertPrime,
+    InvariantViolated,
     NotTwoUnit,
     OddValuation,
     TrivialClass,
@@ -71,7 +72,8 @@ class QuadElt:
 
     def __add__(self, other):
         if isinstance(other, QuadElt):
-            assert other.a == self.a
+            if other.a != self.a:
+                raise InvariantViolated(f"{self} and {other} lie in different fields")
             return QuadElt(self.x + other.x, self.y + other.y, self.a)
         return QuadElt(self.x + Fraction(other), self.y, self.a)
 
@@ -80,7 +82,8 @@ class QuadElt:
 
     def __mul__(self, other):
         if isinstance(other, QuadElt):
-            assert other.a == self.a
+            if other.a != self.a:
+                raise InvariantViolated(f"{self} and {other} lie in different fields")
             return QuadElt(
                 self.x * other.x + self.a * self.y * other.y,
                 self.x * other.y + self.y * other.x,

@@ -18,7 +18,7 @@ from .arith import (
     signed_prime_decomposition,
     square_class,
 )
-from .errors import NotSquarefree, TrivialClass
+from .errors import InvariantViolated, NotSquarefree, TrivialClass
 from .symbol import redei_symbol
 
 
@@ -183,7 +183,8 @@ def build_R8(D: int) -> RedeiMatrixR8:
             if (vec >> i) & 1:
                 d1 *= parts[i]
         d2 = D // d1
-        assert _is_second_kind(D, d1)
+        if not _is_second_kind(D, d1):
+            raise InvariantViolated(f"{D} = {d1} * {d2} is not of the second kind")
         decs.append(SecondKindDecomposition(d1, d2))
         bits = 0
         for j, m in enumerate(cols):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import gcd
 
 from .arith import (
@@ -24,11 +24,10 @@ from .arith import (
     signed_prime_decomposition,
     square_class,
 )
-from .conic import ConicSolution, is_solvable, solve
+from .conic import ConicSolution, solve
 from .errors import (
     DegenerateSquareClass,
     InvalidTriple,
-    NotSolvable,
     OddValuation,
     PartUndefined,
     RamificationAssertFailed,
@@ -67,50 +66,31 @@ class Violation:
         return f"all three discriminants share the prime {self.place}"
 
 
-@dataclass(frozen=True)
-class SymbolTriple:
-    a: int
-    b: int
-    c: int
-
-    def violations(self) -> list[Violation]:
-        return validate_triple(self.a, self.b, self.c)
-
-
-def validate_triple(a, b, c) -> list[Violation]:
-    """Empty list iff (a, b, c) admits a symbol; otherwise every failing condition."""
+def _violations(a, b, c):
+    """Every failing condition of (a, b, c), lazily: first the primes shared by
+    all three discriminants, read off their gcd, then the Hilbert failures."""
     a, b, c = square_class(a), square_class(b), square_class(c)
-    out = []
+    if 1 not in (a, b, c):
+        shared = gcd(gcd(discriminant(a), discriminant(b)), discriminant(c))
+        for p in prime_divisors(shared):
+            yield Violation("common_factor", None, None, p)
     places = [INFINITY, 2] + sorted(
         {p for n in (a, b, c) for p in prime_divisors(n) if p != 2}
     )
     for slot, u, w in (("a,b", a, b), ("a,c", a, c), ("b,c", b, c)):
         for v in places:
             if hilbert(u, w, v) != 1:
-                out.append(Violation("hilbert", slot, (u, w), v))
-    discs = [discriminant(n) for n in (a, b, c) if n != 1]
-    if len(discs) == 3:
-        shared = [p for p in prime_divisors(discs[0]) if discs[1] % p == 0 and discs[2] % p == 0]
-        for p in shared:
-            out.append(Violation("common_factor", None, None, p))
-    return out
+                yield Violation("hilbert", slot, (u, w), v)
+
+
+def validate_triple(a, b, c) -> list[Violation]:
+    """Empty list iff (a, b, c) admits a symbol; otherwise every failing condition."""
+    return list(_violations(a, b, c))
 
 
 def is_valid_triple(a, b, c) -> bool:
     """Short-circuit form of validate_triple, for rejection-sampling sweeps."""
-    a, b, c = square_class(a), square_class(b), square_class(c)
-    if 1 not in (a, b, c):
-        da, db, dc = discriminant(a), discriminant(b), discriminant(c)
-        if gcd(gcd(da, db), dc) > 1:
-            return False
-    places = [INFINITY, 2] + sorted(
-        {p for n in (a, b, c) for p in prime_divisors(n) if p != 2}
-    )
-    for u, w in ((a, b), (a, c), (b, c)):
-        for v in places:
-            if hilbert(u, w, v) != 1:
-                return False
-    return True
+    return next(_violations(a, b, c), None) is None
 
 
 @dataclass(frozen=True)
@@ -138,19 +118,9 @@ class TwistingGroup:
 
     def sample(self) -> list[int]:
         """A few nontrivial members: the generators and their pairwise products."""
-        out = []
         gens = self.generators
-        for g in gens:
-            out.append(g)
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                out.append(square_class(gens[i] * gens[j]))
-        seen, uniq = set(), []
-        for t in out:
-            if t != 1 and t not in seen:
-                seen.add(t)
-                uniq.append(t)
-        return uniq
+        out = list(gens) + [square_class(g * h) for g, h in combinations(gens, 2)]
+        return [t for t in dict.fromkeys(out) if t != 1]
 
 
 def twisting_group(a: int, b: int) -> TwistingGroup:
@@ -168,12 +138,7 @@ def twisting_group(a: int, b: int) -> TwistingGroup:
             gens.append(square_class(two_part))
     if da % 2 == 0 and db % 2 == 0:
         gens.extend([-1, 2])
-    seen, uniq = set(), []
-    for g in gens:
-        if g not in seen:
-            seen.add(g)
-            uniq.append(g)
-    return TwistingGroup(a, b, tuple(uniq))
+    return TwistingGroup(a, b, tuple(dict.fromkeys(gens)))
 
 
 @dataclass(frozen=True)
@@ -202,7 +167,11 @@ def _ram_case(a: int, b: int) -> tuple[str, str | None]:
     return ODD_ONLY, None
 
 
-def _dyadic_ok(elt: QuadElt, case: str) -> bool:
+def _minimally_ramified(case: str, side: str | None, beta: QuadElt, alpha: QuadElt) -> bool:
+    """The dyadic condition of _ram_case(a, b) on the witness pair (beta, alpha)."""
+    if case == ODD_ONLY:
+        return True
+    elt = beta if side == "a" else alpha
     if case == UNRAMIFIED_AT_2:
         return unramified_at_two(elt)
     return conductor_two_at_two(elt)
@@ -213,13 +182,10 @@ def witness_from_solution(a: int, b: int, sol: ConicSolution) -> MinRamWitness:
     beta0 = QuadElt(sol.x, sol.y, a)
     alpha0 = QuadElt(2 * sol.x, 2 * sol.z, b)
     case, side = _ram_case(a, b)
-    twists = (1,) if case == ODD_ONLY else (1, -1, 2, -2)
-    for t in twists:
-        if case != ODD_ONLY:
-            elt = beta0 * t if side == "a" else alpha0 * t
-            if not _dyadic_ok(elt, case):
-                continue
-        return MinRamWitness(a, b, beta0 * t, alpha0 * t, t, sol, case)
+    for t in (1, -1, 2, -2):
+        beta, alpha = beta0 * t, alpha0 * t
+        if _minimally_ramified(case, side, beta, alpha):
+            return MinRamWitness(a, b, beta, alpha, t, sol, case)
     raise RamificationAssertFailed(
         f"no twist in {{1,-1,2,-2}} normalizes ({a}, {b}) from {sol}"
     )
@@ -232,8 +198,6 @@ def minimally_ramified_witness(a: int, b: int) -> MinRamWitness:
         raise TrivialClass("witness needs nontrivial classes")
     if a == b:
         raise DegenerateSquareClass("ab is a square; no dihedral extension")
-    if not is_solvable(a, b):
-        raise NotSolvable(f"({a}, {b}) fails the local-global test")
     return witness_from_solution(a, b, solve(a, b))
 
 
@@ -241,11 +205,8 @@ def twist_witness(w: MinRamWitness, t: int) -> MinRamWitness:
     """Twist a witness by t in T_{a,b}; the result is re-checked minimally ramified."""
     t = square_class(t)
     beta, alpha = w.beta * t, w.alpha * t
-    case, side = _ram_case(w.a, w.b)
-    if case != ODD_ONLY:
-        elt = beta if side == "a" else alpha
-        if not _dyadic_ok(elt, case):
-            raise RamificationAssertFailed(f"twist {t} is not in the twisting group")
+    if not _minimally_ramified(*_ram_case(w.a, w.b), beta, alpha):
+        raise RamificationAssertFailed(f"twist {t} is not in the twisting group")
     return replace(w, beta=beta, alpha=alpha, twist=square_class(w.twist * t))
 
 
@@ -293,22 +254,29 @@ def _dyadic_part(w: MinRamWitness) -> tuple[int, str]:
     return values.pop(), side
 
 
+def _local_part(w: MinRamWitness, v) -> tuple[int, str]:
+    """(value, side) of the local factor at v, for a c < 0 at infinity or v | c."""
+    if v is INFINITY:
+        # c < 0 forces a, b > 0; beta is totally positive or totally negative
+        if w.a < 0 or w.beta.norm() <= 0:
+            raise RamificationAssertFailed("sign part needs a totally real witness")
+        return (1 if w.beta.x > 0 else -1), A_SIDE
+    if v == 2:
+        return _dyadic_part(w)
+    return _odd_part(w, v)
+
+
 def p_part(w: MinRamWitness, c: int, v) -> int:
     """Local factor of [a, b, c] at the place v, computed from the witness w."""
     c = square_class(c)
     if v is INFINITY:
         if c > 0:
             return 1
-        # c < 0 forces a, b > 0; beta is totally positive or totally negative
-        if w.a < 0 or w.beta.norm() <= 0:
-            raise RamificationAssertFailed("sign part needs a totally real witness")
-        return 1 if w.beta.x > 0 else -1
-    p = int(v)
-    if c % p != 0:
-        raise PartUndefined(f"{p} does not divide {c}")
-    if p == 2:
-        return _dyadic_part(w)[0]
-    return _odd_part(w, p)[0]
+    else:
+        v = int(v)
+        if c % v != 0:
+            raise PartUndefined(f"{v} does not divide {c}")
+    return _local_part(w, v)[0]
 
 
 @dataclass(frozen=True)
@@ -327,14 +295,8 @@ class SymbolTrace:
 
 def _symbol_from_witness(w: MinRamWitness, c: int) -> SymbolTrace:
     parts, sides = {}, {}
-    for p in prime_divisors(c):
-        if p == 2:
-            parts[p], sides[p] = _dyadic_part(w)
-        else:
-            parts[p], sides[p] = _odd_part(w, p)
-    if c < 0:
-        parts[INFINITY] = p_part(w, c, INFINITY)
-        sides[INFINITY] = A_SIDE
+    for v in prime_divisors(c) + ([INFINITY] if c < 0 else []):
+        parts[v], sides[v] = _local_part(w, v)
     value = 1
     for s in parts.values():
         value *= s

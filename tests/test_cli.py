@@ -113,3 +113,32 @@ def test_verify_governing_small(capsys):
     code, out, _ = run(capsys, "verify", "governing", "--max", "300", "--json")
     assert code == 0
     assert json.loads(out)["result"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("symbol", "0", "2", "3"),
+        ("ranks", "1"),
+        ("ranks", "4"),
+        ("ranks", "1000003", "--oracle"),
+    ],
+)
+def test_bad_input_exit_5(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 5
+    assert out == ""
+    assert err.startswith("bad input: ") and err.count("\n") == 1
+
+
+def test_other_library_error_exit_6(capsys, monkeypatch):
+    from redei import cli
+    from redei.errors import SearchExhausted
+
+    def fail(d):
+        raise SearchExhausted("no point in the box")
+
+    monkeypatch.setattr(cli, "ranks", fail)
+    code, _, err = run(capsys, "ranks", "-205")
+    assert code == 6
+    assert err == "error: no point in the box\n"

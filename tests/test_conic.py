@@ -61,3 +61,29 @@ def test_enumerate_solutions():
     for s in many:
         assert s.x**2 + s.y**2 - 2 * s.z**2 == 0
         assert gcd(gcd(s.x, s.y), s.z) == 1
+
+
+def test_off_conic_point_rejected_under_optimize():
+    # the solution invariants must hold without assert statements, i.e. under python -O
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import redei
+
+    script = (
+        "from redei.conic import ConicSolution\n"
+        "from redei.errors import InvariantViolated\n"
+        "for point in ((1, 1, 1, 5, 7), (4, 2, 0, 4, 7)):\n"
+        "    try:\n"
+        "        ConicSolution(*point)\n"
+        "    except InvariantViolated:\n"
+        "        print('rejected')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(redei.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["rejected", "rejected"]

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from redei.arith import INFINITY, square_class
+from redei.arith import INFINITY, discriminant, hilbert, prime_divisors, square_class
 from redei.conic import enumerate_solutions
 from redei.errors import DegenerateSquareClass, InvalidTriple, PartUndefined
 from redei.quadfield import QuadElt
@@ -224,3 +224,49 @@ def test_side_consistency_for_odd_places():
             if len(values) == 2:
                 assert values[0] == values[1], (a, b, c, p)
                 done += 1
+
+
+def _reference_violations(a, b, c):
+    """The triple conditions straight from the definition, as (kind, slot, place) keys."""
+    a, b, c = square_class(a), square_class(b), square_class(c)
+    places = [INFINITY, 2] + [p for p in (3, 5, 7, 11, 13) if any(n % p == 0 for n in (a, b, c))]
+    out = {
+        ("hilbert", slot, v)
+        for slot, u, w in (("a,b", a, b), ("a,c", a, c), ("b,c", b, c))
+        for v in places
+        if hilbert(u, w, v) != 1
+    }
+    if 1 not in (a, b, c):
+        discs = [discriminant(n) for n in (a, b, c)]
+        out |= {
+            ("common_factor", None, p)
+            for p in prime_divisors(discs[0])
+            if all(d % p == 0 for d in discs)
+        }
+    return out
+
+
+def test_validators_agree_exhaustively():
+    # every ordered triple of squarefree n with |n| <= 15, trivial class included
+    values = [1] + squarefree_values(15)
+    for a, b, c in itertools.product(values, repeat=3):
+        found = validate_triple(a, b, c)
+        assert is_valid_triple(a, b, c) == (found == []), (a, b, c)
+        keys = [(v.kind, v.slot, v.place) for v in found]
+        assert len(keys) == len(set(keys)) and set(keys) == _reference_violations(a, b, c)
+
+
+def test_p_part_matches_assembled_parts():
+    rng = random.Random(17)
+    values = squarefree_values(40)
+    done = 0
+    while done < 40:
+        a, b, c = rng.sample(values, 3)
+        if not is_valid_triple(a, b, c):
+            continue
+        trace = redei_symbol(a, b, c)
+        w = minimally_ramified_witness(a, b)
+        assert p_part(w, c, INFINITY) == trace.parts.get(INFINITY, 1)
+        for v, value in trace.parts.items():
+            assert p_part(w, c, v) == value, (a, b, c, v)
+        done += 1
