@@ -145,6 +145,40 @@ def kronecker(a: int, n: int) -> int:
     return k if n == 1 else 0
 
 
+@lru_cache(maxsize=None)
+def sqrt_mod_p(a: int, p: int) -> int:
+    """Tonelli-Shanks square root of a mod an odd prime p (a a residue)."""
+    a %= p
+    if a == 0:
+        return 0
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    # find a non-residue
+    n = 2
+    while kronecker(n, p) != -1:
+        n += 1
+    s, e = p - 1, 0
+    while s % 2 == 0:
+        s //= 2
+        e += 1
+    x = pow(a, (s + 1) // 2, p)
+    b = pow(a, s, p)
+    g = pow(n, s, p)
+    r = e
+    while True:
+        t, m = b, 0
+        while t != 1:
+            t = t * t % p
+            m += 1
+        if m == 0:
+            return x
+        gs = pow(g, 1 << (r - m - 1), p)
+        g = gs * gs % p
+        x = x * gs % p
+        b = b * g % p
+        r = m
+
+
 def discriminant(a: int) -> int:
     """Discriminant of Q(sqrt(a)) for a squarefree, a != 1."""
     if a == 1:

@@ -122,9 +122,10 @@ class ClassGroup:
     def _classify(self, form: tuple[int, int, int]) -> FormClass:
         D = self.D
         if D < 0:
+            # checked before reducing: the reduction loop never ends on such a form
+            if form[0] < 0:
+                raise InvariantViolated(f"{form} is negative definite")
             A, B, C = _reduce_definite(*form)
-            if A < 0:
-                raise ValueError("negative definite form")
         else:
             isq = isqrt(D)
             f = form

@@ -15,12 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import discriminant, kronecker, mod_p, padic_val
+from .arith import discriminant, kronecker, mod_p, padic_val, sqrt_mod_p
 from .errors import (
     InertPrime,
     InvariantViolated,
     NotTwoUnit,
     OddValuation,
+    PartUndefined,
     TrivialClass,
     TwoNotSplit,
     WrongDiscriminantClass,
@@ -136,43 +137,9 @@ class DegreeOnePrime:
 
 
 @lru_cache(maxsize=None)
-def _sqrt_mod_p(a: int, p: int) -> int:
-    """Tonelli-Shanks square root of a mod an odd prime p (a a residue)."""
-    a %= p
-    if a == 0:
-        return 0
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # find a non-residue
-    n = 2
-    while kronecker(n, p) != -1:
-        n += 1
-    s, e = p - 1, 0
-    while s % 2 == 0:
-        s //= 2
-        e += 1
-    x = pow(a, (s + 1) // 2, p)
-    b = pow(a, s, p)
-    g = pow(n, s, p)
-    r = e
-    while True:
-        t, m = b, 0
-        while t != 1:
-            t = t * t % p
-            m += 1
-        if m == 0:
-            return x
-        gs = pow(g, 1 << (r - m - 1), p)
-        g = gs * gs % p
-        x = x * gs % p
-        b = b * g % p
-        r = m
-
-
-@lru_cache(maxsize=None)
 def _hensel_sqrt_odd(a: int, p: int, k: int) -> int:
     """Root r of r^2 = a mod p**k with r = min root mod p, via Newton lifting."""
-    r0 = _sqrt_mod_p(a, p)
+    r0 = sqrt_mod_p(a, p)
     r0 = min(r0, p - r0)
     r, prec = r0, 1
     while prec < k:
@@ -259,7 +226,7 @@ def residue_symbol(beta: QuadElt, frak: DegreeOnePrime) -> int:
     """
     p = frak.p
     if p == 2:
-        raise ValueError("residue_symbol is for odd primes; use dyadic_embedding at 2")
+        raise PartUndefined("residue_symbol is for odd primes; use dyadic_embedding at 2")
     if beta.is_zero():
         raise ZeroInput("residue symbol of 0")
     if frak.kind == RAMIFIED:

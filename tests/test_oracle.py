@@ -3,7 +3,7 @@ import random
 import pytest
 
 from redei.arith import is_fundamental_discriminant, signed_prime_decomposition
-from redei.errors import BoundExceeded, DiscriminantMismatch, NotFundamental
+from redei.errors import BoundExceeded, DiscriminantMismatch, InvariantViolated, NotFundamental
 from redei.oracle import FormClass, compose, enumerate_classes, narrow_ranks
 
 
@@ -23,6 +23,12 @@ def test_enumerate_errors():
         enumerate_classes(-12)  # -12 = 4*(-3) but disc(Q(sqrt -3)) = -3
     with pytest.raises(BoundExceeded):
         enumerate_classes(-3, bound=2)
+
+
+def test_negative_definite_form_is_a_library_error():
+    # a RedeiError, so the CLI maps it to exit 6 rather than a traceback
+    with pytest.raises(InvariantViolated):
+        enumerate_classes(-820)._classify((-1, 0, -205))
 
 
 def test_compose_examples():

@@ -7,6 +7,7 @@ from redei.arith import kronecker, square_class
 from redei.errors import (
     NotTwoUnit,
     OddValuation,
+    PartUndefined,
     TrivialClass,
     TwoNotSplit,
     WrongDiscriminantClass,
@@ -87,6 +88,13 @@ def test_residue_symbol_odd_valuation():
     frak5 = primes_above(5, -5)[1][0]
     with pytest.raises(OddValuation):
         residue_symbol(QuadElt(0, 1, -5), frak5)  # sqrt(-5) is a uniformizer
+
+
+def test_residue_symbol_at_two_is_a_library_error():
+    # a RedeiError, so the CLI maps it to exit 6 rather than a traceback
+    frak2 = primes_above(2, 17)[1][0]
+    with pytest.raises(PartUndefined):
+        residue_symbol(QuadElt(3, 1, 17), frak2)
 
 
 def test_residue_symbol_inert_prime_rejected():

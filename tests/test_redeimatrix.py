@@ -103,6 +103,24 @@ def test_r8_examples():
     assert ranks(-205) == (2, 1, 0)
 
 
+@pytest.mark.parametrize(
+    "d, expected",
+    [
+        (838529494469, (1, 1, 0)),  # 92957 * 9020617
+        (-262723337047, (2, 2, 1)),  # -37 * 75533 * 94007
+        (650012313245, (3, 1, 0)),  # 5 * 2131 * 4421 * 13799
+        (-997216298578, (1, 1, 1)),  # -2 * 498608149289, D = 4d
+        (470446520314, (2, 1, 1)),  # 2 * 57809 * 4068973, D = 4d
+        (427087716553, (2, 2, 0)),  # 101 * 53117 * 79609
+    ],
+)
+def test_ranks_pinned_large(d, expected):
+    # |d| in [1e11, 1e12], as in the ranks-large benchmark: every R8 entry needs
+    # a conic point in a Holzer box of 5e5 to 1.5e6 cells, which the lattice
+    # enumeration finds; the values were computed by the exhaustive cell loop
+    assert ranks(d) == expected
+
+
 def test_oracle_checked_examples():
     from redei.oracle import narrow_ranks
 
