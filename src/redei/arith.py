@@ -10,6 +10,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
+from math import gcd
 
 from .errors import (
     FactorLimitExceeded,
@@ -32,10 +34,20 @@ class _Infinity:
 
 INFINITY = _Infinity()
 
-# Trial division up to 2**24 certifies prime cofactors up to 2**48.
+# The hard cap on prime factors: factor() raises FactorLimitExceeded when n has
+# two or more prime factors above it, counted with multiplicity. A returned
+# prime is below its square or certified by Miller-Rabin below _MR_LIMIT.
 DEFAULT_TRIAL_BOUND = 1 << 24
 
+# trial division runs this far before the cofactor goes to Miller-Rabin and rho
+TRIAL_LIMIT = 1 << 10
+
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)  # increments mod 30 starting from 7
+
+# Miller-Rabin on the first 13 prime bases is exact below psi_13 (Sorenson and
+# Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def _trial_bound() -> int:
@@ -45,6 +57,63 @@ def _trial_bound() -> int:
 
 # the bound factor() uses by default: read at import, and again by each cli.main
 trial_bound = _trial_bound()
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on _MR_BASES: exact for odd n with 41 < n < _MR_LIMIT."""
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper divisor of the odd composite n: Brent's variant of Pollard's rho."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step back through it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _split(m: int) -> tuple[tuple[int, int], ...]:
+    """(p, e) pairs, primes ascending, of a composite m < _MR_LIMIT with no prime below 42."""
+    primes, stack = [], [m]
+    while stack:
+        m = stack.pop()
+        if _is_prime(m):
+            primes.append(m)
+        else:
+            d = _rho(m)
+            stack += (d, m // d)
+    return tuple((p, primes.count(p)) for p in sorted(set(primes)))
 
 
 @lru_cache(maxsize=None)
@@ -58,11 +127,21 @@ def _factor_abs(m: int, bound: int) -> tuple[tuple[int, int], ...]:
                 e += 1
             out.append((p, e))
     c, i = 7, 0
+    limit = min(bound, TRIAL_LIMIT)
     while c * c <= m:
-        if c > bound:
-            raise FactorLimitExceeded(
-                f"unfactored cofactor {m} exceeds certification bound {bound}**2"
-            )
+        if c > limit:
+            # m has no prime factor below c: certify it prime, or split it with
+            # rho if its smallest prime factor is at most bound
+            if m < _MR_LIMIT:
+                if _is_prime(m):
+                    break
+                if c <= bound and m <= bound * bound:
+                    return tuple(out) + _split(m)
+            if c > bound:
+                raise FactorLimitExceeded(
+                    f"unfactored cofactor {m} exceeds certification bound {bound}**2"
+                )
+            limit = bound  # rho may not finish: trial-divide up to the bound
         if m % c == 0:
             e = 0
             while m % c == 0:
@@ -77,10 +156,18 @@ def _factor_abs(m: int, bound: int) -> tuple[tuple[int, int], ...]:
 
 
 def factor(n: int, bound: int | None = None) -> list[tuple[int, int]]:
-    """Factor n != 0 by trial division into [(p, e), ...], primes ascending.
+    """Factor n != 0 into [(p, e), ...], primes ascending: sign(n) * prod(p**e) == n.
 
-    sign(n) * prod(p**e) == n.  Raises FactorLimitExceeded when a composite
-    cofactor survives past the trial bound.
+    Trial division up to TRIAL_LIMIT, then Miller-Rabin on the first 13 prime
+    bases, exact below psi_13 = 3317044064679887385961981, and Brent's rho on a
+    composite cofactor up to bound**2.  A composite cofactor above bound**2, or
+    any cofactor from psi_13 on, is trial-divided up to bound.
+
+    bound (default trial_bound, from REDEI_FACTOR_BOUND) is a hard cap: raises
+    FactorLimitExceeded whenever n has two or more prime factors above bound,
+    counted with multiplicity, and whenever a cofactor above bound**2 cannot be
+    certified prime.  Every prime returned is below bound**2 or certified by
+    Miller-Rabin below psi_13.
     """
     if n == 0:
         raise ZeroInput("cannot factor 0")

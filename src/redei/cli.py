@@ -15,6 +15,7 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 from itertools import combinations
 
 from . import arith
@@ -286,7 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Redei symbols [a,b,c] and 2/4/8-ranks of narrow quadratic class groups.",
         epilog="Negative arguments parse directly (e.g. `redei symbol -20 41 5`); "
         "use `--` before them if an option ambiguity ever arises. "
-        "REDEI_FACTOR_BOUND overrides the trial-division bound.",
+        "REDEI_FACTOR_BOUND overrides the factoring bound, a hard cap: an argument "
+        "with two or more prime factors above it exits 4. A prime above the bound's "
+        "square is accepted only below 3.3e24, where Miller-Rabin certifies it.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -317,8 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused: building costs more than parsing."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     saved, arith.trial_bound = arith.trial_bound, arith._trial_bound()
     try:
         return args.fn(args)

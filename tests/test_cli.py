@@ -76,6 +76,13 @@ def test_ranks_factor_limit_exit_4(capsys, monkeypatch):
     assert "factorization limit" in err
 
 
+def test_ranks_twenty_digits(capsys, monkeypatch):
+    monkeypatch.setenv("REDEI_FACTOR_BOUND", str(10**10))
+    code, out, _ = run(capsys, "ranks", str(9700000001 * 9900000001), "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["r2"] == 1
+
+
 def test_verify_product_formula(capsys):
     code, out, _ = run(capsys, "verify", "product-formula", "--max", "200", "--seed", "7", "--json")
     assert code == 0
