@@ -15,6 +15,7 @@ from math import gcd
 
 from .errors import (
     FactorLimitExceeded,
+    InvalidFactorBound,
     InvariantViolated,
     NotFundamental,
     ProductFormulaViolated,
@@ -52,11 +53,20 @@ _MR_LIMIT = 3317044064679887385961981
 
 def _trial_bound() -> int:
     env = os.environ.get("REDEI_FACTOR_BOUND")
-    return int(env) if env else DEFAULT_TRIAL_BOUND
+    if not env:
+        return DEFAULT_TRIAL_BOUND
+    try:
+        return int(env)
+    except ValueError:
+        raise InvalidFactorBound(f"REDEI_FACTOR_BOUND={env!r} is not an integer") from None
 
 
-# the bound factor() uses by default: read at import, and again by each cli.main
-trial_bound = _trial_bound()
+# the bound factor() uses by default: read at import, and again by each cli.main,
+# which reports a malformed value as bad input; importing keeps the default then
+try:
+    trial_bound = _trial_bound()
+except InvalidFactorBound:
+    trial_bound = DEFAULT_TRIAL_BOUND
 
 
 def _is_prime(n: int) -> bool:
@@ -232,7 +242,6 @@ def kronecker(a: int, n: int) -> int:
     return k if n == 1 else 0
 
 
-@lru_cache(maxsize=None)
 def sqrt_mod_p(a: int, p: int) -> int:
     """Tonelli-Shanks square root of a mod an odd prime p (a a residue)."""
     a %= p

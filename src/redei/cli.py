@@ -25,6 +25,7 @@ from .errors import (
     BoundExceeded,
     DegenerateSquareClass,
     FactorLimitExceeded,
+    InvalidFactorBound,
     InvalidTriple,
     NotFundamental,
     NotSquarefree,
@@ -61,7 +62,14 @@ _EXITS = (
     (DegenerateSquareClass, EXIT_DEGENERATE, "degenerate"),
     (InvalidTriple, EXIT_INVALID, "invalid triple"),
     (
-        (ZeroInput, TrivialClass, NotSquarefree, NotFundamental, BoundExceeded),
+        (
+            ZeroInput,
+            TrivialClass,
+            NotSquarefree,
+            NotFundamental,
+            BoundExceeded,
+            InvalidFactorBound,
+        ),
         EXIT_BAD_INPUT,
         "bad input",
     ),
@@ -328,8 +336,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    saved, arith.trial_bound = arith.trial_bound, arith._trial_bound()
+    saved = arith.trial_bound
     try:
+        arith.trial_bound = arith._trial_bound()
         return args.fn(args)
     except RedeiError as exc:
         code, prefix = next(row[1:] for row in _EXITS if isinstance(exc, row[0]))

@@ -77,6 +77,10 @@ class BoundExceeded(RedeiError):
     pass
 
 
+class InvalidFactorBound(RedeiError):
+    """REDEI_FACTOR_BOUND is set to something other than an integer."""
+
+
 class InvariantViolated(RedeiError):
     """A stated invariant of a value or of an intermediate result failed."""
 

@@ -76,6 +76,35 @@ def test_ranks_factor_limit_exit_4(capsys, monkeypatch):
     assert "factorization limit" in err
 
 
+def test_malformed_factor_bound_exit_5():
+    # read at import and again by each cli.main: the import keeps the default,
+    # and the command reports bad input instead of a traceback
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import redei
+
+    env = dict(
+        os.environ, REDEI_FACTOR_BOUND="abc", PYTHONPATH=str(Path(redei.__file__).parents[1])
+    )
+    imported = subprocess.run(
+        [sys.executable, "-c", "import redei"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert imported.returncode == 0, imported.stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "redei.cli", "ranks", "5"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 5
+    assert proc.stdout == ""
+    assert proc.stderr == "bad input: REDEI_FACTOR_BOUND='abc' is not an integer\n"
+
+
 def test_ranks_twenty_digits(capsys, monkeypatch):
     monkeypatch.setenv("REDEI_FACTOR_BOUND", str(10**10))
     code, out, _ = run(capsys, "ranks", str(9700000001 * 9900000001), "--json")

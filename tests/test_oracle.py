@@ -1,10 +1,22 @@
 import random
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from redei.arith import is_fundamental_discriminant, signed_prime_decomposition
+from redei import oracle
+from redei.arith import is_fundamental_discriminant, kronecker, signed_prime_decomposition
 from redei.errors import BoundExceeded, DiscriminantMismatch, InvariantViolated, NotFundamental
-from redei.oracle import FormClass, compose, enumerate_classes, narrow_ranks
+from redei.oracle import (
+    FormClass,
+    _cycle,
+    _is_reduced_indefinite,
+    compose,
+    enumerate_classes,
+    narrow_ranks,
+)
+from redei.redeimatrix import r2, r4, r8
 
 
 def test_enumerate_examples():
@@ -81,3 +93,141 @@ def test_two_rank_is_t_minus_one():
         g = enumerate_classes(D)
         assert narrow_ranks(D)[0] == t - 1, D
         assert g.order % (1 << (t - 1)) == 0
+
+
+# --- references: the trial-division enumerations and the three-pass ranks that the
+# square-root enumeration and the one-pass squaring map replaced
+
+
+def ref_enumerate_definite(D: int) -> list[tuple[int, int, int]]:
+    out = []
+    amax = isqrt(-D // 3)
+    for A in range(1, amax + 1):
+        for B in range(-A + 1, A + 1):
+            if (B * B - D) % (4 * A):
+                continue
+            C = (B * B - D) // (4 * A)
+            if C < A:
+                continue
+            if B < 0 and (A == C or B == -A):
+                continue
+            if gcd(gcd(A, B), C) != 1:
+                continue
+            out.append((A, B, C))
+    return out
+
+
+def ref_enumerate_indefinite(D: int) -> list[tuple[int, int, int]]:
+    out = []
+    for B in range(1, isqrt(D) + 1):
+        if (B - D) % 2:
+            continue
+        M = (B * B - D) // 4  # = A*C < 0
+        for A in range(1, isqrt(-M) + 1):
+            if M % A:
+                continue
+            for a in (A, -A):
+                c = M // a
+                for f in ((a, B, c), (c, B, a)):
+                    if _is_reduced_indefinite(*f, D) and gcd(gcd(f[0], B), f[2]) == 1:
+                        out.append(f)
+    return sorted(set(out))
+
+
+def ref_canon(forms: list, D: int) -> dict:
+    """enumerate_classes' grouping of the reduced indefinite forms into cycles."""
+    isq = isqrt(D)
+    canon = {}
+    remaining = set(forms)
+    while remaining:
+        start = min(remaining)
+        cyc = _cycle(start, D, isq)
+        rep = min(cyc)
+        for f in cyc:
+            canon[f] = rep
+            remaining.discard(f)
+    return canon
+
+
+def ref_narrow_ranks(D: int) -> tuple[int, int, int]:
+    group = enumerate_classes(D)
+    counts = []
+    current = {f: f for f in group.elements}  # g -> g^(2^k)
+    for _ in range(3):
+        counts.append(sum(1 for img in current.values() if img == group.identity))
+        current = {g: group.compose(img, img) for g, img in current.items()}
+    counts.append(sum(1 for img in current.values() if img == group.identity))
+    out = []
+    for k in range(3):
+        ratio = counts[k + 1] // counts[k]
+        out.append(ratio.bit_length() - 1)
+    return tuple(out)
+
+
+def assert_matches_reference(D: int):
+    if D < 0:
+        assert oracle._enumerate_definite(D) == sorted(ref_enumerate_definite(D)), D
+    else:
+        forms = ref_enumerate_indefinite(D)
+        assert oracle._enumerate_indefinite(D) == forms, D
+        assert enumerate_classes(D)._canon == ref_canon(forms, D), D
+    assert narrow_ranks(D) == ref_narrow_ranks(D), D
+
+
+def test_enumeration_matches_reference_exhaustively():
+    for D in range(-20000, 20001):
+        if is_fundamental_discriminant(D):
+            assert_matches_reference(D)
+
+
+def large_sample() -> list[int]:
+    """About 100 seeded fundamental D with 1e5 <= |D| <= 1e6: per sign, 30 odd D,
+    10 even D and 10 D with at least five prime discriminant factors."""
+    rng = random.Random(2718)
+    want = {"odd": 30, "even": 10, "many": 10}
+    taken = dict.fromkeys([(s, k) for s in (-1, 1) for k in want], 0)
+    out = []
+    while len(out) < 2 * sum(want.values()):
+        sign = rng.choice((-1, 1))
+        D = sign * rng.randint(10**5, 10**6)
+        if not is_fundamental_discriminant(D):
+            continue
+        kind = "many" if signed_prime_decomposition(D).t >= 5 else "even" if D % 2 == 0 else "odd"
+        if taken[sign, kind] < want[kind]:
+            taken[sign, kind] += 1
+            out.append(D)
+    return out
+
+
+def test_enumeration_matches_reference_large():
+    for D in large_sample():
+        assert_matches_reference(D)
+
+
+def test_class_number_formula():
+    # Dirichlet: h(D) = -(1/|D|) sum_{a=1}^{|D|-1} a (D/a) for fundamental D < -4
+    rng = random.Random(31)
+    checked = 0
+    while checked < 25:
+        D = -rng.randint(5, 2 * 10**4)
+        if not is_fundamental_discriminant(D):
+            continue
+        total = sum(a * kronecker(D, a) for a in range(1, -D))
+        assert total % D == 0, D
+        assert enumerate_classes(D).order == total // D, D
+        checked += 1
+
+
+@st.composite
+def large_fundamental_discriminants(draw):
+    sign = draw(st.sampled_from((-1, 1)))
+    D = sign * draw(st.integers(10**5 + 1000, 10**6))
+    while not is_fundamental_discriminant(D):
+        D -= sign
+    return D
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(large_fundamental_discriminants())
+def test_redei_matrix_ranks_match_oracle_large(D):
+    assert (r2(D), r4(D), r8(D)) == narrow_ranks(D)
