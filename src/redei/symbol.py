@@ -14,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import gcd
 
 from .arith import (
     INFINITY,
     discriminant,
-    hilbert,
+    kronecker,
     prime_divisors,
     signed_prime_decomposition,
     square_class,
@@ -66,31 +65,98 @@ class Violation:
         return f"all three discriminants share the prime {self.place}"
 
 
-def _violations(a, b, c):
+# the size of every memo in this module: the argument records below and the
+# witnesses of minimally_ramified_witness
+CACHE_SIZE = 4096
+
+
+@dataclass(frozen=True, slots=True)
+class _Arg:
+    """One argument of the symbol, canonicalized and factored once."""
+
+    n: int  # the squarefree class
+    negative: bool
+    even: int  # 1 iff 2 | n
+    odd: tuple[int, ...]  # the odd primes dividing n, ascending
+    # epsilon and omega of the odd part n' = n / 2**even, read mod 8:
+    # (n' - 1)/2 and (n'^2 - 1)/8, each mod 2
+    eps: int
+    omega: int
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _arg(q) -> _Arg:
+    """The record of q, memoized: canonicalizing and factoring is done once per q."""
+    n = square_class(q)
+    primes = prime_divisors(n)
+    even = 1 if primes and primes[0] == 2 else 0
+    unit = (n >> even) % 8
+    return _Arg(n, n < 0, even, tuple(primes[even:]), (unit >> 1) & 1, (unit * unit - 1) // 8 % 2)
+
+
+def _fails_at_2(u: _Arg, w: _Arg) -> int:
+    """1 iff (u, w)_2 = -1 (Serre, A Course in Arithmetic, III.1.2, Thm 1)."""
+    return (u.eps & w.eps) ^ (u.even & w.omega) ^ (w.even & u.omega)
+
+
+def _fails_at_odd(u: int, w: int, p: int) -> bool:
+    """True iff (u, w)_p = -1, for squarefree u, w and an odd prime p dividing u or w."""
+    if u % p:
+        return kronecker(u, p) == -1
+    if w % p:
+        return kronecker(w, p) == -1
+    return kronecker(-(u // p) * (w // p), p) == -1
+
+
+def _shared_primes(a: _Arg, b: _Arg, c: _Arg) -> list[int]:
+    """Primes dividing all three discriminants, ascending: 2 when no class is 1 mod 4."""
+    shared = sorted(set(a.odd).intersection(b.odd, c.odd))
+    if a.n % 4 != 1 and b.n % 4 != 1 and c.n % 4 != 1:
+        shared.insert(0, 2)
+    return shared
+
+
+def _violations(a: _Arg, b: _Arg, c: _Arg):
     """Every failing condition of (a, b, c), lazily: first the primes shared by
-    all three discriminants, read off their gcd, then the Hilbert failures."""
-    a, b, c = square_class(a), square_class(b), square_class(c)
-    if 1 not in (a, b, c):
-        shared = gcd(gcd(discriminant(a), discriminant(b)), discriminant(c))
-        for p in prime_divisors(shared):
-            yield Violation("common_factor", None, None, p)
-    places = [INFINITY, 2] + sorted(
-        {p for n in (a, b, c) for p in prime_divisors(n) if p != 2}
-    )
+    all three discriminants, then for the pairs (a,b), (a,c), (b,c) the Hilbert
+    failures at infinity, at 2 and at ascending odd p."""
+    for p in _shared_primes(a, b, c):
+        yield Violation("common_factor", None, None, p)
     for slot, u, w in (("a,b", a, b), ("a,c", a, c), ("b,c", b, c)):
-        for v in places:
-            if hilbert(u, w, v) != 1:
-                yield Violation("hilbert", slot, (u, w), v)
+        pair = (u.n, w.n)
+        if u.negative and w.negative:
+            yield Violation("hilbert", slot, pair, INFINITY)
+        if _fails_at_2(u, w):
+            yield Violation("hilbert", slot, pair, 2)
+        # (u, w)_p = 1 at every odd p dividing neither u nor w
+        for p in sorted(set(u.odd).union(w.odd)):
+            if _fails_at_odd(u.n, w.n, p):
+                yield Violation("hilbert", slot, pair, p)
+
+
+def _is_valid(a: _Arg, b: _Arg, c: _Arg) -> bool:
+    """The conditions of _violations, cheapest first."""
+    if a.negative + b.negative + c.negative > 1:
+        return False
+    if _fails_at_2(a, b) or _fails_at_2(a, c) or _fails_at_2(b, c):
+        return False
+    if _shared_primes(a, b, c):
+        return False
+    for u, w in ((a, b), (a, c), (b, c)):
+        for p in u.odd + w.odd:
+            if _fails_at_odd(u.n, w.n, p):
+                return False
+    return True
 
 
 def validate_triple(a, b, c) -> list[Violation]:
     """Empty list iff (a, b, c) admits a symbol; otherwise every failing condition."""
-    return list(_violations(a, b, c))
+    return list(_violations(_arg(a), _arg(b), _arg(c)))
 
 
 def is_valid_triple(a, b, c) -> bool:
     """Short-circuit form of validate_triple, for rejection-sampling sweeps."""
-    return next(_violations(a, b, c), None) is None
+    return _is_valid(_arg(a), _arg(b), _arg(c))
 
 
 @dataclass(frozen=True)
@@ -191,7 +257,7 @@ def witness_from_solution(a: int, b: int, sol: ConicSolution) -> MinRamWitness:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def minimally_ramified_witness(a: int, b: int) -> MinRamWitness:
     a, b = square_class(a), square_class(b)
     if a == 1 or b == 1:
@@ -294,8 +360,9 @@ class SymbolTrace:
 
 
 def _symbol_from_witness(w: MinRamWitness, c: int) -> SymbolTrace:
+    arg = _arg(c)
     parts, sides = {}, {}
-    for v in prime_divisors(c) + ([INFINITY] if c < 0 else []):
+    for v in [2] * arg.even + list(arg.odd) + [INFINITY] * arg.negative:
         parts[v], sides[v] = _local_part(w, v)
     value = 1
     for s in parts.values():
@@ -305,13 +372,13 @@ def _symbol_from_witness(w: MinRamWitness, c: int) -> SymbolTrace:
 
 def redei_symbol(a, b, c) -> SymbolTrace:
     """[a, b, c] with its local parts; trilinear and symmetric for valid triples."""
-    a, b, c = square_class(a), square_class(b), square_class(c)
+    args = _arg(a), _arg(b), _arg(c)
+    a, b, c = (arg.n for arg in args)
     if 1 in (a, b, c):
         # the trivial-argument rule applies regardless of the remaining pair
         return SymbolTrace(a, b, c, 1, {}, {}, None)
-    violations = validate_triple(a, b, c)
-    if violations:
-        raise InvalidTriple(violations)
+    if not _is_valid(*args):
+        raise InvalidTriple(_violations(*args))
     if a == b:
         raise DegenerateSquareClass(f"[{a}, {b}, {c}] has ab square")
     return _symbol_from_witness(minimally_ramified_witness(a, b), c)
@@ -325,11 +392,17 @@ class ReciprocityReport:
 
 
 def verify_reciprocity(a, b, c) -> ReciprocityReport:
-    """Evaluate all orderings of (a, b, c) independently and compare."""
-    a, b, c = square_class(a), square_class(b), square_class(c)
+    """Evaluate all orderings of (a, b, c) independently and compare.
+
+    The triple conditions are symmetric, so they are checked once; each ordering
+    builds its own witness and local parts."""
+    args = _arg(a), _arg(b), _arg(c)
+    a, b, c = (arg.n for arg in args)
     if 1 in (a, b, c) or a == b or a == c or b == c:
         raise DegenerateSquareClass(f"({a}, {b}, {c}) has a degenerate pair")
+    if not _is_valid(*args):
+        raise InvalidTriple(_violations(*args))
     values = {}
-    for perm in permutations((a, b, c)):
-        values[perm] = redei_symbol(*perm).value
+    for x, y, z in permutations((a, b, c)):
+        values[x, y, z] = _symbol_from_witness(minimally_ramified_witness(x, y), z).value
     return ReciprocityReport((a, b, c), values, len(set(values.values())) == 1)

@@ -29,6 +29,27 @@ def test_symbol_invalid_exit_2(capsys):
     assert "infinity" in err
 
 
+def test_symbol_invalid_stderr_bytes(capsys):
+    # canonicalized to (-105, -42, -30): two shared primes, then Hilbert failures
+    # at infinity, 2 and odd p, one line each, in validate_triple's order
+    code, out, err = run(capsys, "symbol", "-420", "-168", "-30")
+    assert (code, out) == (2, "")
+    assert err == (
+        "invalid triple: all three discriminants share the prime 2\n"
+        "invalid triple: all three discriminants share the prime 3\n"
+        "invalid triple: hilbert symbol (a,b) = (-105, -42) fails at infinity\n"
+        "invalid triple: hilbert symbol (a,b) = (-105, -42) fails at 2\n"
+        "invalid triple: hilbert symbol (a,b) = (-105, -42) fails at 3\n"
+        "invalid triple: hilbert symbol (a,b) = (-105, -42) fails at 5\n"
+        "invalid triple: hilbert symbol (a,c) = (-105, -30) fails at infinity\n"
+        "invalid triple: hilbert symbol (a,c) = (-105, -30) fails at 7\n"
+        "invalid triple: hilbert symbol (b,c) = (-42, -30) fails at infinity\n"
+        "invalid triple: hilbert symbol (b,c) = (-42, -30) fails at 2\n"
+        "invalid triple: hilbert symbol (b,c) = (-42, -30) fails at 5\n"
+        "invalid triple: hilbert symbol (b,c) = (-42, -30) fails at 7\n"
+    )
+
+
 def test_symbol_degenerate_exit_3(capsys):
     # 45 reduces to 5, and (5, 5, 11) passes the Hilbert conditions
     code, _, err = run(capsys, "symbol", "5", "45", "11")

@@ -1,13 +1,17 @@
 import itertools
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redei.arith import INFINITY, discriminant, hilbert, prime_divisors, square_class
 from redei.conic import enumerate_solutions
 from redei.errors import DegenerateSquareClass, InvalidTriple, PartUndefined
 from redei.quadfield import QuadElt
 from redei.symbol import (
+    Violation,
     _symbol_from_witness,
     is_valid_triple,
     minimally_ramified_witness,
@@ -254,6 +258,61 @@ def test_validators_agree_exhaustively():
         assert is_valid_triple(a, b, c) == (found == []), (a, b, c)
         keys = [(v.kind, v.slot, v.place) for v in found]
         assert len(keys) == len(set(keys)) and set(keys) == _reference_violations(a, b, c)
+
+
+def _generic_violations(a, b, c):
+    """Every failing condition of (a, b, c) from the generic hilbert at every place
+    that can fail, in validate_triple's order: the primes shared by all three
+    discriminants, read off their gcd, then the Hilbert failures per pair."""
+    a, b, c = square_class(a), square_class(b), square_class(c)
+    if 1 not in (a, b, c):
+        shared = gcd(gcd(discriminant(a), discriminant(b)), discriminant(c))
+        for p in prime_divisors(shared):
+            yield Violation("common_factor", None, None, p)
+    places = [INFINITY, 2] + sorted(
+        {p for n in (a, b, c) for p in prime_divisors(n) if p != 2}
+    )
+    for slot, u, w in (("a,b", a, b), ("a,c", a, c), ("b,c", b, c)):
+        for v in places:
+            if hilbert(u, w, v) != 1:
+                yield Violation("hilbert", slot, (u, w), v)
+
+
+# few enough primes that random subsets often share some, in every class mod 8,
+# up to the largest prime below 10**9
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 101, 103, 107, 109,
+           9973, 10007, 65537, 999983, 1000003, 999999937)
+
+
+def _product_below(primes):
+    out = 1
+    for p in primes:
+        if out * p <= 10**9:
+            out *= p
+    return out
+
+
+_squarefree = st.builds(
+    lambda sign, n: sign * n,
+    st.sampled_from((1, -1)),
+    st.one_of(
+        st.sampled_from((1, 2)),
+        st.lists(st.sampled_from(_PRIMES), unique=True, max_size=5).map(_product_below),
+        st.integers(1, 10**9).filter(lambda n: square_class(n) == n),
+    ),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@given(_squarefree, _squarefree, _squarefree)
+def test_validate_triple_matches_generic_hilbert(a, b, c):
+    # no bare assert, so that the property also checks under python -O
+    found = validate_triple(a, b, c)
+    expected = list(_generic_violations(a, b, c))
+    if found != expected:
+        pytest.fail(f"validate_triple{(a, b, c)} = {found}, expected {expected}")
+    if is_valid_triple(a, b, c) != (found == []):
+        pytest.fail(f"is_valid_triple{(a, b, c)} disagrees with {found}")
 
 
 def test_p_part_matches_assembled_parts():
