@@ -50,6 +50,14 @@ _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)  # increments mod 30 starting from 7
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
+# The one cache policy of the package.  A memo keyed on values that grow with a
+# sweep (an integer, a discriminant, a pair of arguments) is bounded at
+# CACHE_SIZE, so a long sweep runs in bounded memory.  A table keyed on a residue
+# mod 4 or mod 16 stays unbounded: it has at most a handful of entries.
+# oracle.enumerate_classes keeps 4 groups, because an entry is a whole class
+# group and the module-level compose needs the group of the D it works on.
+CACHE_SIZE = 4096
+
 
 def _trial_bound() -> int:
     env = os.environ.get("REDEI_FACTOR_BOUND")
@@ -126,7 +134,7 @@ def _split(m: int) -> tuple[tuple[int, int], ...]:
     return tuple((p, primes.count(p)) for p in sorted(set(primes)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _factor_abs(m: int, bound: int) -> tuple[tuple[int, int], ...]:
     out = []
     for p in (2, 3, 5):
@@ -187,7 +195,9 @@ def factor(n: int, bound: int | None = None) -> list[tuple[int, int]]:
 def prime_divisors(n: int) -> list[int]:
     if n in (1, -1):
         return []
-    return [p for p, _ in factor(n)]
+    if n == 0:
+        raise ZeroInput("cannot factor 0")
+    return [p for p, _ in _factor_abs(abs(int(n)), trial_bound)]
 
 
 def square_class(q) -> int:
@@ -200,7 +210,7 @@ def square_class(q) -> int:
     if n == 0:
         raise ZeroInput("0 has no square class")
     out = -1 if n < 0 else 1
-    for p, e in factor(n):
+    for p, e in _factor_abs(abs(n), trial_bound):
         if e % 2:
             out *= p
     return out

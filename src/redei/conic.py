@@ -25,7 +25,6 @@ candidate points than the box has cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt, prod
 
@@ -252,20 +251,14 @@ def _box_solutions(a: int, b: int, ybound: int, zbound: int):
     return _search(a, b, ybound, zbound)
 
 
-@lru_cache(maxsize=None)
-def _solve_cached(a: int, b: int) -> tuple[int, int, int]:
+def solve(a: int, b: int) -> ConicSolution:
+    """Smallest primitive solution under (|x|, |y|, |z|) with nonnegative entries."""
     if not is_solvable(a, b):
         raise NotSolvable(f"x^2 - {a}y^2 - {b}z^2 = 0 has no rational point")
     found = _box_solutions(a, b, isqrt(abs(b)), isqrt(abs(a)))
     if not found:
         raise SearchExhausted(f"no solution for ({a}, {b}) inside the Holzer box")
-    return found[0]
-
-
-def solve(a: int, b: int) -> ConicSolution:
-    """Smallest primitive solution under (|x|, |y|, |z|) with nonnegative entries."""
-    x, y, z = _solve_cached(a, b)
-    return ConicSolution(x, y, z, a, b)
+    return ConicSolution(*found[0], a, b)
 
 
 def enumerate_solutions(a: int, b: int, count: int) -> list[ConicSolution]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import discriminant, kronecker, mod_p, padic_val, sqrt_mod_p
+from .arith import CACHE_SIZE, discriminant, kronecker, mod_p, padic_val, sqrt_mod_p
 from .errors import (
     InertPrime,
     InvariantViolated,
@@ -136,7 +136,6 @@ class DegreeOnePrime:
         return DegreeOnePrime(self.p, self.a, self.kind, r, precision)
 
 
-@lru_cache(maxsize=None)
 def _hensel_sqrt_odd(a: int, p: int, k: int) -> int:
     """Root r of r^2 = a mod p**k with r = min root mod p, via Newton lifting."""
     r0 = sqrt_mod_p(a, p)
@@ -151,7 +150,7 @@ def _hensel_sqrt_odd(a: int, p: int, k: int) -> int:
     return r
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _hensel_sqrt_2(a: int, k: int) -> int:
     """Root r of r^2 = a mod 2**k with r = 1 mod 4, for a = 1 mod 8 and k >= 3."""
     r = 1
@@ -161,7 +160,7 @@ def _hensel_sqrt_2(a: int, k: int) -> int:
     return r % (1 << k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def primes_above(p: int, a: int, precision: int = DEFAULT_PRECISION):
     """Splitting of p in Q(sqrt a): (kind, [DegreeOnePrime, ...]).
 
@@ -284,14 +283,6 @@ def _max_order_squares(a_mod16: int) -> frozenset:
                 # (p + q theta)^2 = p^2 + q^2 c + (2pq + q^2) theta
                 squares.add(((p * p + q * q * c) % 4, (2 * p * q + q * q) % 4))
     return frozenset(squares)
-
-
-@lru_cache(maxsize=None)
-def _max_order_units(a_mod16: int) -> frozenset:
-    c = ((a_mod16 - 1) // 4) % 4
-    return frozenset(
-        (p, q) for p in range(4) for q in range(4) if (p * p + p * q - q * q * c) % 2
-    )
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from functools import lru_cache
 
 from . import gf2
 from .arith import (
+    CACHE_SIZE,
     kronecker,
     prime_divisors,
     signed_prime_decomposition,
@@ -61,7 +62,7 @@ def _part_prime(part: int) -> int:
     return 2 if part % 2 == 0 else abs(part)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def build_R4(D: int) -> RedeiMatrixR4:
     dec = signed_prime_decomposition(D)
     parts = dec.parts
@@ -154,7 +155,6 @@ def _quotient_basis(vectors: list[int], modulus: int, ncols: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
 def build_R8(D: int) -> RedeiMatrixR8:
     m4 = build_R4(D)
     t = m4.t

@@ -16,6 +16,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from .arith import (
+    CACHE_SIZE,
     INFINITY,
     discriminant,
     kronecker,
@@ -63,11 +64,6 @@ class Violation:
         if self.kind == "hilbert":
             return f"hilbert symbol ({self.slot}) = {self.pair} fails at {self.place}"
         return f"all three discriminants share the prime {self.place}"
-
-
-# the size of every memo in this module: the argument records below and the
-# witnesses of minimally_ramified_witness
-CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True, slots=True)

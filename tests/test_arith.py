@@ -1,8 +1,13 @@
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
+import redei
+from redei import arith
 from redei.arith import (
     INFINITY,
     discriminant,
@@ -12,6 +17,7 @@ from redei.arith import (
     hilbert_product,
     is_fundamental_discriminant,
     kronecker,
+    prime_divisors,
     signed_prime_decomposition,
     square_class,
 )
@@ -55,6 +61,21 @@ def test_square_class_examples():
     assert square_class(12) == 3
     assert square_class(-4) == -1
     assert square_class(Fraction(50, 9)) == 2
+
+
+def test_square_class_and_prime_divisors_follow_factor(monkeypatch):
+    # both read the factorization under the module's trial_bound, as factor does
+    for n in (1, -1, 2, -12, 820, -(3**3) * 7**2 * 1009, 9999991 * 1013):
+        assert square_class(n) == (-1 if n < 0 else 1) * prod(p for p, e in factor(n) if e % 2)
+        assert prime_divisors(n) == [p for p, _ in factor(n)]
+    with pytest.raises(ZeroInput):
+        square_class(0)
+    with pytest.raises(ZeroInput):
+        prime_divisors(0)
+    monkeypatch.setattr(arith, "trial_bound", 100)
+    for f in (factor, square_class, prime_divisors):
+        with pytest.raises(FactorLimitExceeded):
+            f(1009 * 1013)
 
 
 def test_square_class_properties():
@@ -199,3 +220,23 @@ def test_product_formula():
         b = rng.randint(-(10**6), 10**6)
         if a and b:
             assert hilbert_product(a, b) == 1
+
+
+def test_one_cache_policy():
+    # every memo is bounded at CACHE_SIZE, except the residue tables (at most a
+    # handful of entries), the class groups and the CLI parser
+    exceptions = {
+        "redei.quadfield._sqrt_ring_squares": None,
+        "redei.quadfield._max_order_squares": None,
+        "redei.oracle.enumerate_classes": 4,
+        "redei.cli._parser": 1,
+    }
+    found = {}
+    for info in pkgutil.iter_modules(redei.__path__, "redei."):
+        module = importlib.import_module(info.name)
+        for name, fn in vars(module).items():
+            if hasattr(fn, "cache_parameters") and fn.__module__ == info.name:
+                found[f"{info.name}.{name}"] = fn.cache_parameters()["maxsize"]
+    assert set(exceptions) <= set(found)
+    for name, maxsize in found.items():
+        assert maxsize == exceptions.get(name, arith.CACHE_SIZE), name

@@ -44,6 +44,12 @@ def test_solve_examples():
     assert (s.x, s.y, s.z) == (1, 1, 1)
     s = solve(2, 7)
     assert (s.x, s.y, s.z) == (3, 1, 1)
+    # solve keeps no memo: each call searches again and finds the same point,
+    # here on a box of the cell loop and one of the lattices
+    assert solve(2, 7) == s
+    s = solve(1000033, -2000029)
+    assert (s.x, s.y, s.z) == (98969, 305, 204)
+    assert solve(1000033, -2000029) == s
     sols = {(s.x, s.y, s.z) for s in enumerate_solutions(-20, 41, 6)}
     assert (12, 1, 2) in sols and (17, 2, 3) in sols
 

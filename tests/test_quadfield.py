@@ -166,15 +166,20 @@ def test_dyadic_unit_class_rejects_non_units():
 def test_square_subgroup_sizes():
     # |(O/4O)*| = 8 with squares of order 2 when the discriminant is even;
     # order 4 (split) or 12 (inert) with squares of index 4 when odd
-    from redei.quadfield import _max_order_squares, _max_order_units, _sqrt_ring_squares
+    from redei.quadfield import _max_order_squares, _sqrt_ring_squares
+
+    def max_order_units(a):
+        # p + q theta is a unit mod 4O iff its norm p^2 + pq - q^2 c is odd
+        c = ((a - 1) // 4) % 4
+        return [(p, q) for p in range(4) for q in range(4) if (p * p + p * q - q * q * c) % 2]
 
     for a in (-5, -1, 2, -2, 3, 6):
         assert len(_sqrt_ring_squares(a % 4)) == 2
     for a in (17, 73, -31):  # 1 mod 8
-        assert len(_max_order_units(a % 16)) == 4
+        assert len(max_order_units(a)) == 4
         assert len(_max_order_squares(a % 16)) == 1
     for a in (5, 13, -3):  # 5 mod 8
-        assert len(_max_order_units(a % 16)) == 12
+        assert len(max_order_units(a)) == 12
         assert len(_max_order_squares(a % 16)) == 3
 
 
