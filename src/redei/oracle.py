@@ -14,17 +14,27 @@ the roots modulo 2**(v+2) and modulo each odd prime power dividing A (Tonelli-
 Shanks, then Hensel lifting).  A runs up to sqrt(|D|/3) for D < 0 and up to
 sqrt(D) for D > 0, so the work per D is about sqrt|D| (times a few roots per A)
 instead of the |D|/3 or pi*D/16 trial divisions of a double loop over (A, B).
-Building the group then costs one composition per class for the squaring map
-of narrow_ranks, plus, for D > 0, one reduction cycle per class.  At the
-default bound |D| <= 10**6 this is a few milliseconds per D.
+
+The enumeration needs no further test.  Every form it yields is primitive: a
+common factor g of (A, B, C) would leave a form of discriminant D/g**2, and a
+fundamental D is no square multiple of another discriminant.  For D > 0 the
+range of B it walks for each A is exactly the reduction condition, so every
+form it yields is reduced.
+
+Inside, a form is an (A, B, C) tuple of ints and a class is its canonical
+tuple or that tuple's index in the sorted list; a FormClass is built only at
+the public API (`elements`, `identity`, `compose`, `inverse`).  The ranks take
+one Dirichlet composition and one reduction per class for the squaring map,
+and D > 0 adds one walk of each reduction cycle.  At the default bound
+|D| <= 10**6 this is a few milliseconds per D; `bound` admits larger D.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
-from math import gcd, isqrt
+from math import isqrt
 
 from .arith import is_fundamental_discriminant, sqrt_mod_p
 from .errors import BoundExceeded, DiscriminantMismatch, InvariantViolated, NotFundamental
@@ -42,11 +52,18 @@ class FormClass:
     D: int
 
 
-def _xgcd(a: int, b: int):
-    if a == 0:
-        return b, 0, 1
-    g, x, y = _xgcd(b % a, a)
-    return g, y - (b // a) * x, x
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = x*a + y*b: Euclid on (b, a) with floored quotients, so
+    g keeps the sign the remainders give it (g < 0 is possible for negative input)."""
+    r0, r1 = b, a
+    x0, x1 = 0, 1
+    y0, y1 = 1, 0
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return r0, x0, y0
 
 
 def _reduce_definite(A: int, B: int, C: int) -> tuple[int, int, int]:
@@ -95,12 +112,20 @@ def _rho(A: int, B: int, C: int, D: int, isq: int) -> tuple[int, int, int]:
 
 
 def _cycle(form: tuple[int, int, int], D: int, isq: int) -> list[tuple[int, int, int]]:
+    """The cycle of the reduced form `form` under rho, starting at `form`."""
+    # _rho inlined without its |C| > isq branch: the reduction condition is
+    # symmetric in A and C, so a reduced form has |C| < (sqrt(D) + B)/2 < sqrt(D)
     out = [form]
-    f = _rho(*form, D, isq)
-    while f != form:
+    _, B, C = form
+    while True:
+        twoc = 2 * abs(C)
+        b = (-B) % twoc
+        b += ((isq - b) // twoc) * twoc
+        f = (C, b, (b * b - D) // (4 * C))
+        if f == form:
+            return out
         out.append(f)
-        f = _rho(*f, D, isq)
-    return out
+        _, B, C = f
 
 
 def _compose_raw(f1, f2, D: int) -> tuple[int, int, int]:
@@ -122,34 +147,59 @@ def _compose_raw(f1, f2, D: int) -> tuple[int, int, int]:
 
 
 class ClassGroup:
-    """Finite abelian group of form classes of one fundamental discriminant."""
+    """Finite abelian group of form classes of one fundamental discriminant.
 
-    def __init__(self, D: int, classes: list[FormClass], canon: dict):
+    The classes are held as their sorted canonical tuples (A, B, C); `elements`
+    and `identity` wrap them in FormClass on first use.
+    """
+
+    def __init__(self, D: int, reps: list[tuple[int, int, int]], canon: dict | None = None):
         self.D = D
-        self.elements = classes
-        self._canon = canon  # reduced form tuple -> canonical tuple
+        self._reps = reps
+        if canon is not None:
+            self._canon = canon  # reduced form tuple -> canonical tuple
+        self._isq = isqrt(D) if D > 0 else 0
         b0 = D % 2
-        principal = (1, b0, (b0 * b0 - D) // 4)
-        self.identity = self._classify(principal)
+        self._identity = self._reduce((1, b0, (b0 * b0 - D) // 4))
 
-    def _classify(self, form: tuple[int, int, int]) -> FormClass:
+    @cached_property
+    def _canon(self) -> dict:
+        # D < 0: every reduced form is its own canonical form
+        return {f: f for f in self._reps}
+
+    @cached_property
+    def elements(self) -> list[FormClass]:
+        D = self.D
+        return [FormClass(*f, D) for f in self._reps]
+
+    @cached_property
+    def identity(self) -> FormClass:
+        return FormClass(*self._identity, self.D)
+
+    @property
+    def order(self) -> int:
+        return len(self._reps)
+
+    def _reduce(self, form: tuple[int, int, int]) -> tuple[int, int, int]:
+        """The canonical tuple of the class of a primitive form of discriminant D."""
         D = self.D
         if D < 0:
             # checked before reducing: the reduction loop never ends on such a form
             if form[0] < 0:
                 raise InvariantViolated(f"{form} is negative definite")
-            A, B, C = _reduce_definite(*form)
-        else:
-            isq = isqrt(D)
-            f = form
-            seen = set()
-            while not _is_reduced_indefinite(*f, D):
-                if f in seen:
-                    raise InvariantViolated(f"reduction of {form} did not terminate")
-                seen.add(f)
-                f = _rho(*f, D, isq)
-            A, B, C = self._canon[f]
-        return FormClass(A, B, C, D)
+            return _reduce_definite(*form)
+        isq = self._isq
+        f = form
+        seen = set()
+        while not _is_reduced_indefinite(*f, D):
+            if f in seen:
+                raise InvariantViolated(f"reduction of {form} did not terminate")
+            seen.add(f)
+            f = _rho(*f, D, isq)
+        return self._canon[f]
+
+    def _classify(self, form: tuple[int, int, int]) -> FormClass:
+        return FormClass(*self._reduce(form), self.D)
 
     def compose(self, f: FormClass, g: FormClass) -> FormClass:
         if f.D != g.D or f.D != self.D:
@@ -158,10 +208,6 @@ class ClassGroup:
 
     def inverse(self, f: FormClass) -> FormClass:
         return self._classify((f.A, -f.B, f.C))
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
 
 
 def _sqrt_classes(D: int, amax: int):
@@ -236,8 +282,8 @@ def _enumerate_definite(D: int) -> list[tuple[int, int, int]]:
                 continue
             if B < 0 and (A == C or B == -A):
                 continue
-            if gcd(gcd(A, B), C) != 1:
-                continue
+            # no primitivity test: (A, B, C)/g would have discriminant D/g**2,
+            # and a fundamental D is no square multiple of a discriminant
             out.append((A, B, C))
     return sorted(out)
 
@@ -247,13 +293,14 @@ def _enumerate_indefinite(D: int) -> list[tuple[int, int, int]]:
     s = isqrt(D)
     for A, xs in _sqrt_classes(D, s):
         twoa = 2 * A
-        # B in [lo, s] is necessary for a reduced form: see _is_reduced_indefinite
+        # B in [lo, s] is exactly _is_reduced_indefinite: with D no square,
+        # B*B < D is B <= s, sqrt(D) - B < 2A is B >= s + 1 - 2A, and
+        # 2A < sqrt(D) + B is B >= 2A - s.  Primitivity holds as for D < 0.
         lo = max(1, s + 1 - twoa, twoa - s)
         for x in xs:
             for B in range(lo + (x - lo) % twoa, s + 1, twoa):
                 C = (B * B - D) // (4 * A)
-                if _is_reduced_indefinite(A, B, C, D) and gcd(gcd(A, B), C) == 1:
-                    out += [(A, B, C), (-A, B, -C)]
+                out += [(A, B, C), (-A, B, -C)]
     return sorted(out)
 
 
@@ -265,22 +312,16 @@ def enumerate_classes(D: int, bound: int = DEFAULT_ORACLE_BOUND) -> ClassGroup:
     if abs(D) > bound:
         raise BoundExceeded(f"|{D}| exceeds the oracle bound {bound}")
     if D < 0:
-        reduced = _enumerate_definite(D)
-        canon = {f: f for f in reduced}
-        classes = [FormClass(*f, D) for f in sorted(reduced)]
-    else:
-        reduced = _enumerate_indefinite(D)
-        isq = isqrt(D)
-        canon, reps = {}, []
-        for start in reduced:  # ascending: each new cycle starts at its least form
-            if start in canon:
-                continue
-            cyc = _cycle(start, D, isq)
-            rep = min(cyc)
-            reps.append(rep)
-            canon.update(dict.fromkeys(cyc, rep))
-        classes = [FormClass(*f, D) for f in sorted(reps)]
-    return ClassGroup(D, classes, canon)
+        return ClassGroup(D, _enumerate_definite(D))
+    isq = isqrt(D)
+    canon, reps = {}, []
+    for start in _enumerate_indefinite(D):  # ascending: each new cycle starts at its least form
+        if start in canon:
+            continue
+        cyc = _cycle(start, D, isq)
+        reps.append(start)
+        canon.update(dict.fromkeys(cyc, start))
+    return ClassGroup(D, reps, canon)
 
 
 def compose(f: FormClass, g: FormClass) -> FormClass:
@@ -290,12 +331,17 @@ def compose(f: FormClass, g: FormClass) -> FormClass:
     return enumerate_classes(f.D).compose(f, g)
 
 
-def narrow_ranks(D: int) -> tuple[int, int, int]:
-    """(r2, r4, r8) read off the group by counting 2-power torsion."""
-    group = enumerate_classes(D)
-    index = {g: i for i, g in enumerate(group.elements)}
-    square = [index[group.compose(g, g)] for g in group.elements]
-    identity = index[group.identity]
+def _squares(group: ClassGroup) -> list[int]:
+    """The squaring map on class indices, in the order of `group.elements`."""
+    D, reps, reduce = group.D, group._reps, group._reduce
+    index = {f: i for i, f in enumerate(reps)}
+    return [index[reduce(_compose_raw(f, f, D))] for f in reps]
+
+
+def _ranks(group: ClassGroup) -> tuple[int, int, int]:
+    """(r2, r4, r8) of `group`, read off by counting 2-power torsion."""
+    square = _squares(group)
+    identity = group._reps.index(group._identity)
     counts = []
     powers = range(len(square))  # the index of g^(2^k), for each g
     for _ in range(4):
@@ -306,3 +352,8 @@ def narrow_ranks(D: int) -> tuple[int, int, int]:
         ratio = counts[k + 1] // counts[k]
         out.append(ratio.bit_length() - 1)
     return tuple(out)
+
+
+def narrow_ranks(D: int) -> tuple[int, int, int]:
+    """(r2, r4, r8) of the narrow class group of D, from the form class group."""
+    return _ranks(enumerate_classes(D))

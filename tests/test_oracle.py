@@ -231,3 +231,127 @@ def large_fundamental_discriminants(draw):
 @given(large_fundamental_discriminants())
 def test_redei_matrix_ranks_match_oracle_large(D):
     assert (r2(D), r4(D), r8(D)) == narrow_ranks(D)
+
+
+# --- the recursive extended Euclid that the iterative _xgcd replaced
+
+
+def ref_xgcd(a: int, b: int):
+    if a == 0:
+        return b, 0, 1
+    g, x, y = ref_xgcd(b % a, a)
+    return g, y - (b // a) * x, x
+
+
+def test_xgcd_matches_recursive_reference():
+    # identical triples, sign of g included, keep every _compose_raw result unchanged;
+    # pytest.fail rather than assert, so the check also runs under python -O
+    rng = random.Random(1009)
+    edge = (0, 1, -1, 2, -2, 10**9, -(10**9))
+    pairs = [(a, b) for a in edge for b in edge]
+    for _ in range(40000):
+        a, b = (rng.choice((0, rng.randint(-100, 100), rng.randint(-(10**9), 10**9))) for _ in "ab")
+        pairs.append((a, b))
+    for a, b in pairs:
+        got, want = oracle._xgcd(a, b), ref_xgcd(a, b)
+        if got != want:
+            pytest.fail(f"_xgcd({a}, {b}) = {got}, the recursion gives {want}")
+        if got[0] != got[1] * a + got[2] * b:
+            pytest.fail(f"_xgcd({a}, {b}) = {got} is no Bezout identity")
+
+
+# --- the cycle walk through _rho that _cycle inlines
+
+
+def ref_cycle(form, D: int) -> list:
+    isq = isqrt(D)
+    out = [form]
+    f = oracle._rho(*form, D, isq)
+    while f != form:
+        out.append(f)
+        f = oracle._rho(*f, D, isq)
+    return out
+
+
+def test_cycle_matches_rho_walk():
+    sample = [D for D in range(5, 5001) if is_fundamental_discriminant(D)]
+    sample += [D for D in large_sample() if D > 0]
+    for D in sample:
+        isq, seen = isqrt(D), set()
+        for f in oracle._enumerate_indefinite(D):
+            if f not in seen:
+                cyc = ref_cycle(f, D)
+                assert _cycle(f, D, isq) == cyc, (D, f)
+                seen.update(cyc)
+
+
+# --- the public surface over the tuple internals
+
+
+def test_public_surface_over_tuples():
+    rng = random.Random(1013)
+    sample = [-820, 60]
+    while len(sample) < 8:
+        D = rng.choice((-1, 1)) * rng.randint(9 * 10**5, 10**6)
+        if is_fundamental_discriminant(D):
+            sample.append(D)
+    for D in sample:
+        g = enumerate_classes(D)
+        if D < 0:
+            reps = oracle._enumerate_definite(D)
+        else:
+            reps = sorted(set(ref_canon(oracle._enumerate_indefinite(D), D).values()))
+        els = g.elements
+        assert [(f.A, f.B, f.C) for f in els] == reps, D
+        assert all(type(f) is FormClass and f.D == D for f in els), D
+        assert g.order == len(els), D
+        assert g.identity in els, D
+        assert g.identity == g._classify((1, D % 2, (D % 2 - D) // 4)), D
+        assert all(compose(g.identity, f) == f for f in els), D
+        assert oracle._squares(g) == [els.index(compose(f, f)) for f in els], D
+
+
+# --- agreement with the Redei matrices past the default oracle bound
+
+
+def sample_1e7_1e8() -> list[int]:
+    """32 seeded fundamental D, per sign and per rung (10**6 <= |D| <= 10**7 and
+    10**7 <= |D| <= 10**8): 4 odd D, 2 even D and 2 D with at least five prime
+    discriminant factors."""
+    rng = random.Random(1019)
+    want = {"odd": 4, "even": 2, "many": 2}
+    out = []
+    for e in (7, 8):
+        for sign in (-1, 1):
+            taken = dict.fromkeys(want, 0)
+            while taken != want:
+                D = sign * rng.randint(10 ** (e - 1), 10**e)
+                if not is_fundamental_discriminant(D):
+                    continue
+                t = signed_prime_decomposition(D).t
+                kind = "many" if t >= 5 else "even" if D % 2 == 0 else "odd"
+                if taken[kind] < want[kind]:
+                    taken[kind] += 1
+                    out.append(D)
+    return out
+
+
+def test_ranks_match_redei_matrix_to_1e8():
+    for D in sample_1e7_1e8():
+        got = oracle._ranks(enumerate_classes(D, bound=10**8))
+        assert got == (r2(D), r4(D), r8(D)), D
+
+
+@st.composite
+def fundamental_discriminants_to_1e8(draw):
+    sign = draw(st.sampled_from((-1, 1)))
+    D = sign * draw(st.integers(10**7, 10**8 - 1000))
+    while not is_fundamental_discriminant(D):
+        D += sign
+    return D
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(fundamental_discriminants_to_1e8())
+def test_redei_matrix_ranks_match_oracle_to_1e8(D):
+    assert oracle._ranks(enumerate_classes(D, bound=10**8)) == (r2(D), r4(D), r8(D))
