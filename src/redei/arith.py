@@ -412,12 +412,13 @@ def hilbert(a, b, v) -> int:
 
 def hilbert_places(a, b) -> list:
     """Places where (a,b)_v may be nontrivial: infinity, 2 and odd p | ab."""
-    a, b = Fraction(a), Fraction(b)
-    ps = set()
+    ps = {2}
     for q in (a, b):
-        ps.update(p for p, _ in factor(q.numerator))
-        ps.update(p for p, _ in factor(q.denominator))
-    ps.add(2)
+        if not isinstance(q, int):
+            q = Fraction(q)
+            ps.update(p for p, _ in factor(q.denominator))
+            q = q.numerator
+        ps.update(p for p, _ in factor(q))
     return [INFINITY] + sorted(ps)
 
 

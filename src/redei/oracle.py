@@ -257,6 +257,7 @@ def _sqrt_classes(D: int, amax: int):
                 q *= p
                 r = (r - (r * r - D) * pow(2 * r, -1, q)) % q  # Hensel lift
 
+    inverses = {}  # (M, q) -> M**-1 mod q, shared by every A that reaches it
     for A in compress(range(n), ok):
         v = (A & -A).bit_length() - 1
         xs, M, m = two[v], 2 << v, A >> v
@@ -266,7 +267,9 @@ def _sqrt_classes(D: int, amax: int):
             while m % p == 0:
                 q *= p
                 m //= p
-            inv = pow(M, -1, q)
+            inv = inverses.get((M, q))
+            if inv is None:
+                inv = inverses[M, q] = pow(M, -1, q)
             xs = [x + M * ((r - x) * inv % q) for x in xs for r in roots[q]]
             M *= q
         yield A, xs

@@ -7,6 +7,11 @@ A degree-one prime is identified by a residue root r with r^2 = a mod p^k; the
 conjugate prime carries -r.  The canonical prime of a split pair is the one whose
 root has the smaller residue mod p (mod 4 for p = 2), which is stable under
 precision lifts.
+
+Element coordinates have one normal form: an int when the coordinate is
+integral and a Fraction otherwise.  The conic witnesses t(x + y sqrt a) and
+nearly everything derived from them are integral, so they run on ints; a
+division yields a Fraction only when it is inexact.
 """
 
 from __future__ import annotations
@@ -35,15 +40,36 @@ INERT = "inert"
 DEFAULT_PRECISION = 6  # work mod p**6; raised adaptively where valuations demand
 
 
+def _normal(q):
+    """The rational q as an int when it is integral, else as a Fraction."""
+    if type(q) is int:
+        return q
+    q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _exact_div(x, q):
+    """x / q for rationals x and q != 0, in the normal form of _normal."""
+    if type(x) is int and type(q) is int:
+        quo, rem = divmod(x, q)
+        return quo if rem == 0 else Fraction(x, q)
+    return _normal(Fraction(x) / Fraction(q))
+
+
 class QuadElt:
-    """x + y*sqrt(a) with exact rational coordinates."""
+    """x + y*sqrt(a) with exact rational coordinates.
+
+    Each coordinate is an int when it is integral and a Fraction otherwise, so
+    QuadElt(Fraction(6, 2), 0, a).x is 3.  Equality and hashing are those of the
+    rationals, since Fraction(3) == 3 and the two hash alike.
+    """
 
     __slots__ = ("x", "y", "a")
 
     def __init__(self, x, y, a):
-        self.x = Fraction(x)
-        self.y = Fraction(y)
-        self.a = int(a)
+        self.x = x if type(x) is int else _normal(x)
+        self.y = y if type(y) is int else _normal(y)
+        self.a = a if type(a) is int else int(a)
 
     def __repr__(self):
         return f"QuadElt({self.x}, {self.y}, sqrt {self.a})"
@@ -65,7 +91,8 @@ class QuadElt:
     def conjugate(self) -> "QuadElt":
         return QuadElt(self.x, -self.y, self.a)
 
-    def norm(self) -> Fraction:
+    def norm(self):
+        """x^2 - a y^2; an int for an element with int coordinates."""
         return self.x * self.x - self.a * self.y * self.y
 
     def __neg__(self):
@@ -76,10 +103,11 @@ class QuadElt:
             if other.a != self.a:
                 raise InvariantViolated(f"{self} and {other} lie in different fields")
             return QuadElt(self.x + other.x, self.y + other.y, self.a)
-        return QuadElt(self.x + Fraction(other), self.y, self.a)
+        q = other if type(other) is int else Fraction(other)
+        return QuadElt(self.x + q, self.y, self.a)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, QuadElt) else -Fraction(other))
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, QuadElt):
@@ -90,7 +118,7 @@ class QuadElt:
                 self.x * other.y + self.y * other.x,
                 self.a,
             )
-        q = Fraction(other)
+        q = other if type(other) is int else Fraction(other)
         return QuadElt(self.x * q, self.y * q, self.a)
 
     __rmul__ = __mul__
@@ -100,9 +128,9 @@ class QuadElt:
             n = other.norm()
             if n == 0:
                 raise ZeroDivisionError("division by a zero-norm element")
-            return self * other.conjugate() * Fraction(1, 1) / n
-        q = Fraction(other)
-        return QuadElt(self.x / q, self.y / q, self.a)
+            num = self * other.conjugate()
+            return QuadElt(_exact_div(num.x, n), _exact_div(num.y, n), self.a)
+        return QuadElt(_exact_div(self.x, other), _exact_div(self.y, other), self.a)
 
 
 @dataclass(frozen=True)
@@ -188,18 +216,20 @@ def primes_above(p: int, a: int, precision: int = DEFAULT_PRECISION):
 
 def _p_integral(beta: QuadElt, p: int) -> QuadElt:
     # multiply by a rational square to clear p from coordinate denominators
+    if type(beta.x) is int and type(beta.y) is int:
+        return beta
     m = 0
     for c in (beta.x, beta.y):
         if c != 0:
             m = max(m, -padic_val(c, p))
     if m > 0:
-        beta = beta * Fraction(p) ** (2 * ((m + 1) // 2))
+        beta = beta * p ** (2 * ((m + 1) // 2))
     return beta
 
 
 def _split_embedding(
     beta: QuadElt, frak: DegreeOnePrime, unit_digits: int = 1
-) -> tuple[int, Fraction]:
+) -> tuple[int, int | Fraction]:
     """(valuation, unit part) of beta in the completion at a split prime.
 
     Raises the working precision until the valuation is resolved and the unit
@@ -213,7 +243,7 @@ def _split_embedding(
         if image != 0:
             v = padic_val(image, p)
             if v + unit_digits + slack <= frak.precision:
-                return v, image / Fraction(p) ** v
+                return v, _exact_div(image, p**v)
         frak = frak.lift(frak.precision * 2)
 
 
@@ -234,7 +264,7 @@ def residue_symbol(beta: QuadElt, frak: DegreeOnePrime) -> int:
         v = padic_val(beta.norm(), p)
         if v % 2:
             raise OddValuation(f"odd valuation at ramified prime over {p}")
-        beta = beta / Fraction(a) ** (v // 2)
+        beta = beta / a ** (v // 2)
         return kronecker(mod_p(beta.x, p), p)
     if frak.kind == SPLIT:
         v, unit = _split_embedding(beta, frak)
@@ -249,12 +279,14 @@ def residue_symbol(beta: QuadElt, frak: DegreeOnePrime) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _theta_coords(beta: QuadElt) -> tuple[Fraction, Fraction]:
+def _theta_coords(beta: QuadElt) -> tuple[int | Fraction, int | Fraction]:
     # coordinates w.r.t. theta = (1 + sqrt a)/2: x + y sqrt(a) = (x - y) + 2y * theta
     return beta.x - beta.y, 2 * beta.y
 
 
-def _frac_mod(q: Fraction, m: int) -> int:
+def _frac_mod(q: int | Fraction, m: int) -> int:
+    if type(q) is int:
+        return q % m
     return q.numerator * pow(q.denominator, -1, m) % m
 
 
@@ -324,14 +356,14 @@ def _reduce_two_unit(beta: QuadElt) -> QuadElt:
         v = vn // 2
         if v % 2:
             raise NotTwoUnit("odd dyadic valuation; twist by 2 first")
-        return beta / Fraction(2) ** v
+        return beta / 2**v
     # 2 split: only a common even valuation can be removed by rational squares
     _, fraks = primes_above(2, a)
     v0, _ = _split_embedding(beta, fraks[0])
     v1, _ = _split_embedding(beta, fraks[1])
     if v0 != v1 or v0 % 2:
         raise NotTwoUnit("unequal or odd valuations at the split dyadic primes")
-    return beta / Fraction(2) ** v0
+    return beta / 2**v0
 
 
 def dyadic_unit_class(beta: QuadElt) -> DyadicUnitClass:

@@ -156,6 +156,10 @@ def test_hilbert_examples():
     assert hilbert(-1, -1, 2) == -1  # frozen from the mod-8 search below
     for v in hilbert_places(-20, 41):
         assert hilbert(-20, 41, v) == 1  # (12,1,2) solves the conic globally
+    assert hilbert_places(-20, 41) == [INFINITY, 2, 5, 41]
+    # rational arguments contribute the primes of numerator and denominator
+    assert hilbert_places(Fraction(-20, 9), Fraction(41, 7)) == [INFINITY, 2, 3, 5, 7, 41]
+    assert hilbert_places(Fraction(-20), 41) == hilbert_places(-20, 41)
 
 
 def test_hilbert_minus1_minus1_mod8_oracle():

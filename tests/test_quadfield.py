@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redei.arith import kronecker, square_class
 from redei.errors import (
@@ -45,6 +47,95 @@ def test_division_is_exact():
     e = QuadElt(Fraction(3, 2), -4, -5)
     f = QuadElt(2, 1, -5)
     assert (e / f) * f == e
+
+
+# int coordinates, integral Fractions Fraction(n, 1) and proper fractions
+_coord = st.one_of(
+    st.integers(-60, 60),
+    st.integers(-60, 60).map(Fraction),
+    st.fractions(min_value=-60, max_value=60, max_denominator=12),
+)
+_radicand = st.sampled_from((-7, -5, -3, -2, -1, 2, 3, 5, 6, 7, 13, 17))
+
+
+def _fraction_ops(x1, y1, x2, y2, a):
+    """The QuadElt operations on all-Fraction coordinate pairs, by their formulas."""
+    x1, y1, x2, y2 = map(Fraction, (x1, y1, x2, y2))
+    n2 = x2 * x2 - a * y2 * y2
+    out = {
+        "+": (x1 + x2, y1 + y2),
+        "-": (x1 - x2, y1 - y2),
+        "*": (x1 * x2 + a * y1 * y2, x1 * y2 + y1 * x2),
+        "+ scalar": (x1 + x2, y1),
+        "- scalar": (x1 - x2, y1),
+        "* scalar": (x1 * x2, y1 * x2),
+        "conjugate": (x1, -y1),
+        "neg": (-x1, -y1),
+    }
+    if n2:
+        out["/"] = ((x1 * x2 - a * y1 * y2) / n2, (y1 * x2 - x1 * y2) / n2)
+    if x2:
+        out["/ scalar"] = (x1 / x2, y1 / x2)
+    return out
+
+
+def _quadelt_ops(e, f):
+    out = {
+        "+": e + f,
+        "-": e - f,
+        "*": e * f,
+        "+ scalar": e + f.x,
+        "- scalar": e - f.x,
+        "* scalar": e * f.x,
+        "conjugate": e.conjugate(),
+        "neg": -e,
+    }
+    if f.norm():
+        out["/"] = e / f
+    if f.x:
+        out["/ scalar"] = e / f.x
+    return out
+
+
+def _normal_form(c):
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(_coord, _coord, _coord, _coord, _radicand)
+def test_quadelt_matches_fraction_arithmetic(x1, y1, x2, y2, a):
+    # no bare assert, so that the property also checks under python -O
+    e, f = QuadElt(x1, y1, a), QuadElt(x2, y2, a)
+    expected = _fraction_ops(x1, y1, x2, y2, a)
+    found = _quadelt_ops(e, f)
+    if found.keys() != expected.keys():
+        pytest.fail(f"operations {sorted(found)} != {sorted(expected)}")
+    for op, g in found.items():
+        if (g.x, g.y, g.a) != (*expected[op], a):
+            pytest.fail(f"{e} {op} {f} = {g}, expected {expected[op]}")
+        if not (_normal_form(g.x) and _normal_form(g.y)):
+            pytest.fail(f"{e} {op} {f} = {g!r} is not in normal form")
+    for g in (e, f):
+        norm = g.norm()
+        if norm != Fraction(g.x) ** 2 - a * Fraction(g.y) ** 2:
+            pytest.fail(f"norm of {g} is {norm}")
+        if type(g.x) is int and type(g.y) is int and type(norm) is not int:
+            pytest.fail(f"norm of the integral {g} is {norm!r}")
+        # the same element built from Fraction coordinates
+        h = QuadElt(Fraction(g.x), Fraction(g.y), a)
+        if not (_normal_form(h.x) and _normal_form(h.y)):
+            pytest.fail(f"{h!r} is not in normal form")
+        if h != g or hash(h) != hash(g) or repr(h) != repr(g):
+            pytest.fail(f"{h!r} and {g!r} disagree")
+
+
+def test_quadelt_normal_form_examples():
+    e = QuadElt(Fraction(6, 2), Fraction(-1, 2), 5)
+    assert type(e.x) is int and e.x == 3
+    assert type(e.y) is Fraction
+    assert type((e + e).y) is int
+    assert type((QuadElt(12, 2, -5) / QuadElt(6, 1, -5)).x) is int
+    assert QuadElt(1, 1, 5) / 2 == QuadElt(Fraction(1, 2), Fraction(1, 2), 5)
 
 
 def test_primes_above_examples():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from math import gcd
@@ -329,3 +330,41 @@ def test_p_part_matches_assembled_parts():
         for v, value in trace.parts.items():
             assert p_part(w, c, v) == value, (a, b, c, v)
         done += 1
+
+
+def _pinned_triples():
+    small = squarefree_values(60)
+    for t in itertools.permutations(small, 3):
+        if is_valid_triple(*t):
+            yield t
+    rng = random.Random(9)
+    done = 0
+    while done < 100:
+        t = tuple(square_class(rng.choice((1, -1)) * rng.randint(2, 10**5)) for _ in range(3))
+        if 1 in t or len(set(t)) < 3 or not is_valid_triple(*t):
+            continue
+        done += 1
+        yield t
+
+
+def _by_place(items):
+    return sorted(items, key=lambda kv: (kv[0] is INFINITY, 0 if kv[0] is INFINITY else kv[0]))
+
+
+def test_symbol_outputs_pinned():
+    # value, local parts and witness of every valid ordered triple of distinct
+    # squarefree n with |n| <= 60, plus a seeded sample with |n| <= 10**5;
+    # the digest was taken from the all-Fraction QuadElt arithmetic
+    h = hashlib.sha256()
+    rows = 0
+    for a, b, c in _pinned_triples():
+        s = redei_symbol(a, b, c)
+        w = s.witness
+        row = (a, b, c, s.value, _by_place(s.parts.items()), _by_place(s.sides.items()),
+               w.twist, w.ram_case, str(w.beta.x), str(w.beta.y), str(w.alpha.x), str(w.alpha.y))
+        h.update(repr(row).encode())
+        rows += 1
+    digest = h.hexdigest()
+    pinned = "7fd25d2e7622f4c2501971b0afacddfdf3c0381c46981129083e2f8bd61cdaee"
+    if (rows, digest) != (1900, pinned):
+        pytest.fail(f"{rows} rows with digest {digest}")
