@@ -34,7 +34,7 @@ from .errors import (
     ZeroInput,
 )
 from .oracle import narrow_ranks
-from .redeimatrix import fundamental_discriminant, governing_r4_check, ranks
+from .redeimatrix import fundamental_discriminant, governing_r4_check, r2, r4, r8, ranks
 from .symbol import (
     _symbol_from_witness,
     is_valid_triple,
@@ -180,9 +180,7 @@ def _oracle_work(bound: int, seed: int) -> list:
 
 
 def _oracle_item(D: int) -> list:
-    from .redeimatrix import r2 as mr2, r4 as mr4, r8 as mr8
-
-    mine = (mr2(D), mr4(D), mr8(D))
+    mine = (r2(D), r4(D), r8(D))
     truth = narrow_ranks(D)
     if mine != truth:
         return [(D, mine, truth)]

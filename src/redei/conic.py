@@ -251,24 +251,36 @@ def _box_solutions(a: int, b: int, ybound: int, zbound: int):
     return _search(a, b, ybound, zbound)
 
 
+def _holzer_points(a: int, b: int):
+    """(ybound, zbound, points): the Holzer box of (a, b) and its sorted primitive
+    points, which are never empty.
+
+    Holzer's theorem puts a point in the box of every solvable conic, so a point
+    found proves solvability; the local symbols are read only for an empty box,
+    to tell NotSolvable from SearchExhausted.
+    """
+    if a == 0 or b == 0:
+        raise ZeroInput("conic coefficients must be nonzero")
+    ybound, zbound = isqrt(abs(b)), isqrt(abs(a))
+    found = _box_solutions(a, b, ybound, zbound)
+    if not found:
+        if not is_solvable(a, b):
+            raise NotSolvable(f"x^2 - {a}y^2 - {b}z^2 = 0 has no rational point")
+        raise SearchExhausted(f"no solution for ({a}, {b}) inside the Holzer box")
+    return ybound, zbound, found
+
+
 def solve(a: int, b: int) -> ConicSolution:
     """Smallest primitive solution under (|x|, |y|, |z|) with nonnegative entries."""
-    if not is_solvable(a, b):
-        raise NotSolvable(f"x^2 - {a}y^2 - {b}z^2 = 0 has no rational point")
-    found = _box_solutions(a, b, isqrt(abs(b)), isqrt(abs(a)))
-    if not found:
-        raise SearchExhausted(f"no solution for ({a}, {b}) inside the Holzer box")
+    _, _, found = _holzer_points(a, b)
     return ConicSolution(*found[0], a, b)
 
 
 def enumerate_solutions(a: int, b: int, count: int) -> list[ConicSolution]:
     """count distinct primitive solutions, no two related by coordinate sign flips."""
-    if not is_solvable(a, b):
-        raise NotSolvable(f"x^2 - {a}y^2 - {b}z^2 = 0 has no rational point")
-    ybound, zbound = isqrt(abs(b)), isqrt(abs(a))
-    while True:
-        found = _box_solutions(a, b, ybound, zbound)
-        if len(found) >= count:
-            return [ConicSolution(x, y, z, a, b) for x, y, z in found[:count]]
+    ybound, zbound, found = _holzer_points(a, b)
+    while len(found) < count:
         ybound = 2 * ybound + 1
         zbound = 2 * zbound + 1
+        found = _box_solutions(a, b, ybound, zbound)
+    return [ConicSolution(x, y, z, a, b) for x, y, z in found[:count]]

@@ -338,15 +338,20 @@ def _reduce_two_unit(beta: QuadElt) -> QuadElt:
     a = beta.a
     d = discriminant(a)
     if d % 2 == 0:
-        # 2 is ramified; v_frak(beta) = v_2(norm) is automatically even
+        # 2 is ramified and v_frak(beta) = v_2(norm).  With omega^2 = a or
+        # (1 + sqrt a)^2, each step is beta / omega^2 times the odd square
+        # (a/2)^2 or ((1 - a)/2)^2, so it lowers v_frak by 2, keeps the class
+        # mod 4O and divides exactly: ints stay ints
         v = padic_val(beta.norm(), 2)
         if v % 2:
             raise NotTwoUnit("odd dyadic valuation at the ramified prime")
-        omega_sq = (
-            QuadElt(a, 0, a) if a % 2 == 0 else QuadElt(1 + a, 2, a)
-        )  # (sqrt a)^2 or (1 + sqrt a)^2
-        while padic_val(beta.norm(), 2) >= 2:
-            beta = beta / omega_sq
+        if a % 2 == 0:
+            for _ in range(v // 2):
+                beta = beta * (a // 2) / 2
+        else:
+            conj_sq = QuadElt(1 + a, -2, a)  # (1 - sqrt a)^2
+            for _ in range(v // 2):
+                beta = beta * conj_sq / 4
         return beta
     if a % 8 == 5:
         # 2 inert: v_frak = v_2(norm) / 2
@@ -419,8 +424,11 @@ def unramified_at_two(elt: QuadElt) -> bool:
         # per-prime: even valuation and unit = 1 mod 4 at both dyadic primes
         _, fraks = primes_above(2, s)
         for frak in fraks:
-            v, unit = _split_embedding(elt, frak, unit_digits=2)
-            if v % 2 or _frac_mod(unit, 4) != 1:
+            try:
+                unit = dyadic_embedding(elt, 2, frak)
+            except OddValuation:
+                return False
+            if unit != 1:
                 return False
         return True
     try:

@@ -14,6 +14,7 @@ from functools import lru_cache
 from . import gf2
 from .arith import (
     CACHE_SIZE,
+    discriminant,
     kronecker,
     prime_divisors,
     signed_prime_decomposition,
@@ -29,7 +30,7 @@ def fundamental_discriminant(d: int) -> int:
         raise TrivialClass("d = 1 has no quadratic field")
     if square_class(d) != d:
         raise NotSquarefree(f"{d} is not squarefree")
-    return d if d % 4 == 1 else 4 * d
+    return discriminant(d)
 
 
 def r2(D: int) -> int:

@@ -21,7 +21,6 @@ from .arith import (
     discriminant,
     kronecker,
     prime_divisors,
-    signed_prime_decomposition,
     square_class,
 )
 from .conic import ConicSolution, solve
@@ -37,9 +36,8 @@ from .gf2 import in_span
 from .quadfield import (
     SPLIT,
     QuadElt,
-    _frac_mod,
-    _split_embedding,
     conductor_two_at_two,
+    dyadic_embedding,
     primes_above,
     residue_symbol,
     unramified_at_two,
@@ -164,19 +162,20 @@ class TwistingGroup:
     generators: tuple[int, ...]
 
     def contains(self, t: int) -> bool:
-        t = square_class(t)
-        if t == 1:
+        t = _arg(t)
+        if t.n == 1:
             return True
-        primes = sorted({p for g in self.generators + (t,) for p in prime_divisors(abs(g))})
+        gens = [_arg(g) for g in self.generators]
+        primes = sorted({p for g in gens + [t] for p in _primes(g)})
         index = {p: i + 1 for i, p in enumerate(primes)}  # bit 0 is the sign
 
-        def vec(g):
-            v = 1 if g < 0 else 0
-            for p in prime_divisors(abs(g)):
+        def vec(g: _Arg) -> int:
+            v = int(g.negative)
+            for p in _primes(g):
                 v |= 1 << index[p]
             return v
 
-        return in_span(vec(t), [vec(g) for g in self.generators], len(primes) + 1)
+        return in_span(vec(t), [vec(g) for g in gens], len(primes) + 1)
 
     def sample(self) -> list[int]:
         """A few nontrivial members: the generators and their pairwise products."""
@@ -185,22 +184,29 @@ class TwistingGroup:
         return [t for t in dict.fromkeys(out) if t != 1]
 
 
+def _primes(g: _Arg) -> tuple[int, ...]:
+    return (2,) * g.even + g.odd
+
+
+def _two_part(g: _Arg) -> int:
+    """Square class of the 2-part of disc Q(sqrt n): 1, -1, 2 or -2."""
+    if g.even:
+        return -2 if g.eps else 2
+    return -1 if g.eps else 1
+
+
 def twisting_group(a: int, b: int) -> TwistingGroup:
-    a, b = square_class(a), square_class(b)
-    if a == 1 or b == 1:
+    """Generators: p* for the odd primes of a or b, the 2-parts of the two
+    discriminants, and -1, 2 when both discriminants are even."""
+    ra, rb = _arg(a), _arg(b)
+    if ra.n == 1 or rb.n == 1:
         raise TrivialClass("twisting group needs nontrivial classes")
-    gens = []
-    for p in sorted(set(prime_divisors(a) + prime_divisors(b))):
-        if p != 2:
-            gens.append(p if p % 4 == 1 else -p)
-    da, db = discriminant(a), discriminant(b)
-    for d in (da, db):
-        two_part = signed_prime_decomposition(d).two_part
-        if two_part != 1:
-            gens.append(square_class(two_part))
-    if da % 2 == 0 and db % 2 == 0:
+    gens = [p if p % 4 == 1 else -p for p in sorted(set(ra.odd + rb.odd))]
+    two_parts = [_two_part(ra), _two_part(rb)]
+    gens.extend(t for t in two_parts if t != 1)
+    if 1 not in two_parts:
         gens.extend([-1, 2])
-    return TwistingGroup(a, b, tuple(dict.fromkeys(gens)))
+    return TwistingGroup(ra.n, rb.n, tuple(dict.fromkeys(gens)))
 
 
 @dataclass(frozen=True)
@@ -302,10 +308,10 @@ def _dyadic_part(w: MinRamWitness) -> tuple[int, str]:
     _, fraks = primes_above(2, radicand)
     values = set()
     for frak in fraks:
-        v, unit = _split_embedding(elt, frak, unit_digits=3)
-        if v % 2:
+        try:
+            u = dyadic_embedding(elt, 3, frak)
+        except OddValuation:
             continue
-        u = _frac_mod(unit, 8)
         if u % 4 != 1:
             continue  # the square root ramifies at this prime; use the conjugate
         values.add(1 if u == 1 else -1)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from redei import conic
 from redei.arith import square_class
 from redei.conic import (
     LATTICE_CELLS,
@@ -15,7 +16,7 @@ from redei.conic import (
     is_solvable,
     solve,
 )
-from redei.errors import NotSolvable
+from redei.errors import NotSolvable, SearchExhausted, ZeroInput
 
 
 def cell_loop(a, b, ybound, zbound):
@@ -197,3 +198,21 @@ def test_off_conic_point_rejected_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["rejected", "rejected"]
+
+
+def test_zero_coefficients_rejected():
+    with pytest.raises(ZeroInput, match="conic coefficients must be nonzero"):
+        solve(0, 5)
+    with pytest.raises(ZeroInput, match="conic coefficients must be nonzero"):
+        enumerate_solutions(3, 0, 2)
+
+
+def test_empty_box_reads_the_local_symbols(monkeypatch):
+    # solvability comes from the search; only an empty box consults is_solvable,
+    # which tells an unsolvable conic from a search that missed
+    monkeypatch.setattr(conic, "_box_solutions", lambda a, b, ybound, zbound: [])
+    for find in (solve, lambda a, b: enumerate_solutions(a, b, 2)):
+        with pytest.raises(SearchExhausted):
+            find(-20, 41)
+        with pytest.raises(NotSolvable):
+            find(-1, -1)

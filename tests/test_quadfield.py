@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redei.arith import kronecker, square_class
+from redei.arith import kronecker, padic_val, square_class
 from redei.errors import (
     NotTwoUnit,
     OddValuation,
@@ -14,6 +14,7 @@ from redei.errors import (
     TwoNotSplit,
     WrongDiscriminantClass,
 )
+from redei import quadfield
 from redei.quadfield import (
     INERT,
     RAMIFIED,
@@ -296,6 +297,65 @@ def test_squares_and_minus_one_generate_norm_kernel():
         squares = {mul(u, u) for u in units}
         generated = squares | {mul((3, 0), s) for s in squares}
         assert generated == kernel, a
+
+
+def ref_reduce_two_unit(beta):
+    """The reference reduction for a = 2, 3 mod 4: divide by omega^2 = a or
+    (1 + sqrt a)^2 while v_2(norm) >= 2."""
+    a = beta.a
+    if padic_val(beta.norm(), 2) % 2:
+        raise NotTwoUnit("odd dyadic valuation at the ramified prime")
+    omega_sq = QuadElt(a, 0, a) if a % 2 == 0 else QuadElt(1 + a, 2, a)
+    while padic_val(beta.norm(), 2) >= 2:
+        beta = beta / omega_sq
+    return beta
+
+
+def _outcome(fn, beta):
+    try:
+        return fn(beta)
+    except NotTwoUnit:
+        return NotTwoUnit
+
+
+# squarefree radicands with even discriminant, 2 mod 4 and 3 mod 4
+_even_disc = st.sampled_from((-14, -10, -6, -2, 2, 6, 10, 14, -13, -5, -1, 3, 7, 11, 15, 19))
+_odd_den = st.sampled_from((1, 3, 5, 7, 9, 15))
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(
+    st.integers(-200, 200), st.integers(-200, 200), _even_disc, st.integers(0, 7),
+    _odd_den, _odd_den,
+)
+def test_reduce_two_unit_matches_reference(x, y, a, k, dx, dy):
+    # beta times a power of the uniformizer (sqrt a or 1 + sqrt a) covers high
+    # and odd dyadic valuations; odd denominators keep beta 2-integral
+    if x == 0 and y == 0:
+        return
+    pi = QuadElt(0, 1, a) if a % 2 == 0 else QuadElt(1, 1, a)
+    base = QuadElt(x, y, a)
+    for _ in range(k):
+        base = base * pi
+    for beta in (base, QuadElt(Fraction(base.x, dx), Fraction(base.y, dy), a)):
+        ref = _outcome(ref_reduce_two_unit, beta)
+        found = _outcome(quadfield._reduce_two_unit, beta)
+        if (ref is NotTwoUnit) != (found is NotTwoUnit):
+            pytest.fail(f"{beta!r}: reduced to {found!r}, reference {ref!r}")
+        if ref is NotTwoUnit:
+            if _outcome(dyadic_unit_class, beta) is not NotTwoUnit:
+                pytest.fail(f"dyadic_unit_class accepts {beta!r}")
+            if a % 4 == 3 and _outcome(is_conductor_two, beta) is not NotTwoUnit:
+                pytest.fail(f"is_conductor_two accepts {beta!r}")
+            continue
+        if type(beta.x) is int and type(beta.y) is int:
+            if not (type(found.x) is int and type(found.y) is int):
+                pytest.fail(f"integral {beta!r} reduced to {found!r}")
+        # the reference is a 2-unit already, so its class is read without a step
+        if dyadic_unit_class(beta) != dyadic_unit_class(ref):
+            pytest.fail(f"class of {beta!r}: {dyadic_unit_class(beta)}, reference {ref!r}")
+        if a % 4 == 3 and is_conductor_two(beta) != is_conductor_two(ref):
+            pytest.fail(f"conductor-2 test of {beta!r} disagrees with reference {ref!r}")
 
 
 def test_is_conductor_two_examples():

@@ -7,11 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redei.arith import INFINITY, discriminant, hilbert, prime_divisors, square_class
+from redei.arith import (
+    INFINITY,
+    discriminant,
+    hilbert,
+    prime_divisors,
+    signed_prime_decomposition,
+    square_class,
+)
 from redei.conic import enumerate_solutions
-from redei.errors import DegenerateSquareClass, InvalidTriple, PartUndefined
+from redei.errors import DegenerateSquareClass, InvalidTriple, PartUndefined, TrivialClass
 from redei.quadfield import QuadElt
+from redei.gf2 import in_span
 from redei.symbol import (
+    TwistingGroup,
     Violation,
     _symbol_from_witness,
     is_valid_triple,
@@ -49,6 +58,63 @@ def test_twisting_group_examples():
     g = twisting_group(5, 13)
     assert set(g.generators) == {5, 13}
     assert g.contains(65) and not g.contains(3)
+
+
+def ref_twisting_group(a, b):
+    """The reference construction, from the signed prime decompositions of the
+    two discriminants."""
+    a, b = square_class(a), square_class(b)
+    if a == 1 or b == 1:
+        raise TrivialClass("twisting group needs nontrivial classes")
+    gens = []
+    for p in sorted(set(prime_divisors(a) + prime_divisors(b))):
+        if p != 2:
+            gens.append(p if p % 4 == 1 else -p)
+    da, db = discriminant(a), discriminant(b)
+    for d in (da, db):
+        two_part = signed_prime_decomposition(d).two_part
+        if two_part != 1:
+            gens.append(square_class(two_part))
+    if da % 2 == 0 and db % 2 == 0:
+        gens.extend([-1, 2])
+    return TwistingGroup(a, b, tuple(dict.fromkeys(gens)))
+
+
+def ref_contains(group, t):
+    """Span membership on sign and prime-divisor bit vectors of the raw ints."""
+    t = square_class(t)
+    if t == 1:
+        return True
+    primes = sorted({p for g in group.generators + (t,) for p in prime_divisors(abs(g))})
+    index = {p: i + 1 for i, p in enumerate(primes)}
+
+    def vec(g):
+        v = 1 if g < 0 else 0
+        for p in prime_divisors(abs(g)):
+            v |= 1 << index[p]
+        return v
+
+    return in_span(vec(t), [vec(g) for g in group.generators], len(primes) + 1)
+
+
+def test_twisting_group_matches_reference():
+    # generator order included: sample() order feeds verify twist-independence
+    vals = squarefree_values(200) + [1]
+    for a in vals:
+        for b in vals:
+            if a == 1 or b == 1:
+                with pytest.raises(TrivialClass):
+                    twisting_group(a, b)
+                continue
+            group = twisting_group(a, b)
+            if group != ref_twisting_group(a, b):
+                pytest.fail(f"({a}, {b}): {group} != {ref_twisting_group(a, b)}")
+    small = squarefree_values(30)
+    for a, b in itertools.product(small, repeat=2):
+        group = twisting_group(a, b)
+        for t in small + [1, 4, -9, 12]:
+            if group.contains(t) != ref_contains(group, t):
+                pytest.fail(f"({a}, {b}) contains {t}: {group.contains(t)}")
 
 
 def test_witness_worked_example():
