@@ -248,6 +248,10 @@ def _box_solutions(a: int, b: int, ybound: int, zbound: int):
         bases, candidates = _lattices(a, b, ybound, zbound)
         if candidates <= cells:
             return _lattice_search(a, b, bases, ybound, zbound)
+        # a large box back on the cell scan reads the local symbols first:
+        # an unsolvable conic has no point to scan for
+        if not is_solvable(a, b):
+            return []
     return _search(a, b, ybound, zbound)
 
 
@@ -271,7 +275,13 @@ def _holzer_points(a: int, b: int):
 
 
 def solve(a: int, b: int) -> ConicSolution:
-    """Smallest primitive solution under (|x|, |y|, |z|) with nonnegative entries."""
+    """Smallest primitive solution under (|x|, |y|, |z|) with nonnegative entries.
+
+    The lattices carry no condition at an odd p with p^2 | a or p^2 | b, so
+    such square factors can send a large box back to the O(cells) scan:
+    solve(-1, 5 * 1000003**2) scans about 4.5e6 cells.  That path reads the
+    local symbols first, so an unsolvable conic raises NotSolvable unscanned.
+    """
     _, _, found = _holzer_points(a, b)
     return ConicSolution(*found[0], a, b)
 

@@ -5,8 +5,12 @@ Conventions.  For odd radicands the maximal order Z[(1+sqrt a)/2] is used where
 2-splitting matters; for even discriminants everything happens in Z[sqrt a].
 A degree-one prime is identified by a residue root r with r^2 = a mod p^k; the
 conjugate prime carries -r.  The canonical prime of a split pair is the one whose
-root has the smaller residue mod p (mod 4 for p = 2), which is stable under
-precision lifts.
+root has the smaller residue mod p (mod 4 for p = 2), whatever the precision k.
+
+At a split prime the valuation and the unit part of an element are exact, with
+no p-adic precision to raise: one of the two embeddings of beta / p^m is a unit,
+for m the p-content of beta, and the norm gives the other.  So the residue root
+is read mod p at odd p, and mod 2^(d+1) for a unit wanted mod 2^d.
 
 Element coordinates have one normal form: an int when the coordinate is
 integral and a Fraction otherwise.  The conic witnesses t(x + y sqrt a) and
@@ -19,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .arith import CACHE_SIZE, discriminant, kronecker, mod_p, padic_val, sqrt_mod_p
 from .errors import (
@@ -37,7 +42,7 @@ SPLIT = "split"
 RAMIFIED = "ramified"
 INERT = "inert"
 
-DEFAULT_PRECISION = 6  # work mod p**6; raised adaptively where valuations demand
+DEFAULT_PRECISION = 6  # residue roots mod p**6 unless a caller asks for fewer digits
 
 
 def _normal(q):
@@ -149,20 +154,6 @@ class DegreeOnePrime:
         mod = self.p**self.precision
         return DegreeOnePrime(self.p, self.a, self.kind, (-self.root) % mod, self.precision)
 
-    def lift(self, precision: int) -> "DegreeOnePrime":
-        """Same prime at higher precision (root class preserved)."""
-        if precision <= self.precision or self.kind != SPLIT:
-            return self
-        if self.p == 2:
-            r = _hensel_sqrt_2(self.a, precision)
-            if r % 4 != self.root % 4:
-                r = (1 << precision) - r
-        else:
-            r = _hensel_sqrt_odd(self.a, self.p, precision)
-            if r % self.p != self.root % self.p:
-                r = self.p**precision - r
-        return DegreeOnePrime(self.p, self.a, self.kind, r, precision)
-
 
 def _hensel_sqrt_odd(a: int, p: int, k: int) -> int:
     """Root r of r^2 = a mod p**k with r = min root mod p, via Newton lifting."""
@@ -214,37 +205,49 @@ def primes_above(p: int, a: int, precision: int = DEFAULT_PRECISION):
     return INERT, []
 
 
-def _p_integral(beta: QuadElt, p: int) -> QuadElt:
-    # multiply by a rational square to clear p from coordinate denominators
-    if type(beta.x) is int and type(beta.y) is int:
-        return beta
-    m = 0
-    for c in (beta.x, beta.y):
-        if c != 0:
-            m = max(m, -padic_val(c, p))
-    if m > 0:
-        beta = beta * p ** (2 * ((m + 1) // 2))
-    return beta
+def _content(x, y, p: int) -> tuple[int, int, int, int]:
+    """(u, w, d, m) with (x, y) = p**m * (u, w) / d, for rationals x, y not both 0:
+    ints u, w with no common factor p, d > 0 prime to p, and m the least v_p(x),
+    v_p(y), which is negative when p divides a denominator."""
+    d = x.denominator * y.denominator
+    u, w = x.numerator * y.denominator, y.numerator * x.denominator
+    m, e = padic_val(gcd(u, w), p), padic_val(d, p)
+    return u // p**m, w // p**m, d // p**e, m - e
 
 
 def _split_embedding(
     beta: QuadElt, frak: DegreeOnePrime, unit_digits: int = 1
-) -> tuple[int, int | Fraction]:
-    """(valuation, unit part) of beta in the completion at a split prime.
+) -> tuple[int, int]:
+    """(valuation, unit part mod p**unit_digits) of beta in the completion at a split prime.
 
-    Raises the working precision until the valuation is resolved and the unit
-    part is accurate mod p**unit_digits.
+    With m the p-content of beta, in the basis 1, theta = (1 + sqrt a)/2 at
+    p = 2, one of the two embeddings of beta / p**m is a unit.  If frak's is
+    not, the unit part is N(beta) / p**v_p(N beta) over the other one.
     """
-    p = frak.p
-    beta = _p_integral(beta, p)
-    slack = 1 if p == 2 else 0  # the 2-adic root is one bit short of its precision
-    while True:
-        image = beta.x + beta.y * frak.root
-        if image != 0:
-            v = padic_val(image, p)
-            if v + unit_digits + slack <= frak.precision:
-                return v, _exact_div(image, p**v)
-        frak = frak.lift(frak.precision * 2)
+    p, mod = frak.p, frak.p**unit_digits
+    if unit_digits < 1 or p != 2 and unit_digits > frak.precision:
+        raise InvariantViolated(
+            f"unit mod {p}**{unit_digits} from a root mod {p}**{frak.precision}"
+        )
+    if p == 2:
+        x, y = _theta_coords(beta)
+        # a root mod 2**k fixes the 2-adic root only mod 2**(k - 1)
+        r = _hensel_sqrt_2(frak.a, unit_digits + 2)
+        if frak.root % 4 != 1:
+            r = -r
+        s = (1 + r) // 2  # theta at frak; 1 - s at its conjugate
+        s_conj = 1 - s
+    else:
+        x, y = beta.x, beta.y
+        s, s_conj = frak.root, -frak.root
+    u, w, d, m = _content(x, y, p)
+    image = (u + w * s) * pow(d, -1, mod) % mod
+    if image % p:
+        return m, image
+    norm = beta.norm()
+    v = padic_val(norm, p)
+    norm = _exact_div(norm, p**v) if v >= 0 else norm * p**-v
+    return v - m, mod_p(norm, mod) * d * pow(u + w * s_conj, -1, mod) % mod
 
 
 def residue_symbol(beta: QuadElt, frak: DegreeOnePrime) -> int:
@@ -270,7 +273,7 @@ def residue_symbol(beta: QuadElt, frak: DegreeOnePrime) -> int:
         v, unit = _split_embedding(beta, frak)
         if v % 2:
             raise OddValuation(f"odd valuation at split prime over {p}")
-        return kronecker(mod_p(unit, p), p)
+        return kronecker(unit, p)
     raise InertPrime(f"no degree-one prime over inert {p}")
 
 
@@ -282,12 +285,6 @@ def residue_symbol(beta: QuadElt, frak: DegreeOnePrime) -> int:
 def _theta_coords(beta: QuadElt) -> tuple[int | Fraction, int | Fraction]:
     # coordinates w.r.t. theta = (1 + sqrt a)/2: x + y sqrt(a) = (x - y) + 2y * theta
     return beta.x - beta.y, 2 * beta.y
-
-
-def _frac_mod(q: int | Fraction, m: int) -> int:
-    if type(q) is int:
-        return q % m
-    return q.numerator * pow(q.denominator, -1, m) % m
 
 
 @lru_cache(maxsize=None)
@@ -336,39 +333,32 @@ def _reduce_two_unit(beta: QuadElt) -> QuadElt:
     if beta.is_zero():
         raise ZeroInput("not a field element")
     a = beta.a
-    d = discriminant(a)
-    if d % 2 == 0:
-        # 2 is ramified and v_frak(beta) = v_2(norm).  With omega^2 = a or
-        # (1 + sqrt a)^2, each step is beta / omega^2 times the odd square
-        # (a/2)^2 or ((1 - a)/2)^2, so it lowers v_frak by 2, keeps the class
-        # mod 4O and divides exactly: ints stay ints
-        v = padic_val(beta.norm(), 2)
-        if v % 2:
-            raise NotTwoUnit("odd dyadic valuation at the ramified prime")
-        if a % 2 == 0:
-            for _ in range(v // 2):
-                beta = beta * (a // 2) / 2
-        else:
-            conj_sq = QuadElt(1 + a, -2, a)  # (1 - sqrt a)^2
-            for _ in range(v // 2):
-                beta = beta * conj_sq / 4
-        return beta
-    if a % 8 == 5:
-        # 2 inert: v_frak = v_2(norm) / 2
-        vn = padic_val(beta.norm(), 2)
-        if vn % 2:
-            raise NotTwoUnit("norm valuation odd at an inert prime")  # cannot happen
-        v = vn // 2
-        if v % 2:
-            raise NotTwoUnit("odd dyadic valuation; twist by 2 first")
-        return beta / 2**v
-    # 2 split: only a common even valuation can be removed by rational squares
-    _, fraks = primes_above(2, a)
-    v0, _ = _split_embedding(beta, fraks[0])
-    v1, _ = _split_embedding(beta, fraks[1])
-    if v0 != v1 or v0 % 2:
-        raise NotTwoUnit("unequal or odd valuations at the split dyadic primes")
-    return beta / 2**v0
+    if discriminant(a) % 2:
+        # O = Z[theta] and 2 splits or is inert: with m the 2-content in the
+        # basis 1, theta, beta / 2**m is a 2-unit iff v_2(N beta) = 2m
+        m = _content(*_theta_coords(beta), 2)[3]
+        if m % 2 or padic_val(beta.norm(), 2) != 2 * m:
+            raise NotTwoUnit("odd or unequal valuations at the dyadic primes")
+        return beta / 2**m if m >= 0 else beta * 2**-m
+    # 2 is ramified and v_frak(beta) = v_2(norm).  With omega^2 = a or
+    # (1 + sqrt a)^2, each step is beta / omega^2 times the odd square
+    # (a/2)^2 or ((1 - a)/2)^2, so it lowers v_frak by 2, keeps the class
+    # mod 4O and divides exactly: ints stay ints
+    v = padic_val(beta.norm(), 2)
+    if v % 2:
+        raise NotTwoUnit("odd dyadic valuation at the ramified prime")
+    if v < 0:
+        # 2 divides a coordinate denominator; v_frak(4) = 4, so a power of 4 clears it
+        k = (3 - v) // 4
+        beta, v = beta * 4**k, v + 4 * k
+    if a % 2 == 0:
+        for _ in range(v // 2):
+            beta = beta * (a // 2) / 2
+    else:
+        conj_sq = QuadElt(1 + a, -2, a)  # (1 - sqrt a)^2
+        for _ in range(v // 2):
+            beta = beta * conj_sq / 4
+    return beta
 
 
 def dyadic_unit_class(beta: QuadElt) -> DyadicUnitClass:
@@ -376,10 +366,10 @@ def dyadic_unit_class(beta: QuadElt) -> DyadicUnitClass:
     beta = _reduce_two_unit(beta)
     a = beta.a
     if discriminant(a) % 2 == 0:
-        coords = (_frac_mod(beta.x, 4), _frac_mod(beta.y, 4))
+        coords = (mod_p(beta.x, 4), mod_p(beta.y, 4))
         return DyadicUnitClass(a, "sqrt", coords, coords in _sqrt_ring_squares(a % 4))
     p, q = _theta_coords(beta)
-    coords = (_frac_mod(p, 4), _frac_mod(q, 4))
+    coords = (mod_p(p, 4), mod_p(q, 4))
     return DyadicUnitClass(a, "maximal", coords, coords in _max_order_squares(a % 16))
 
 
@@ -390,7 +380,7 @@ def is_conductor_two(beta: QuadElt) -> bool:
         raise WrongDiscriminantClass(f"conductor-2 test needs a = 3 mod 4, got {a}")
     beta = _reduce_two_unit(beta)
     # (O/2O)* = {1, sqrt a}; squares and signs land on 1, so test the raw class
-    return _frac_mod(beta.x, 2) == 1 and _frac_mod(beta.y, 2) == 0
+    return mod_p(beta.x, 2) == 1 and mod_p(beta.y, 2) == 0
 
 
 def dyadic_embedding(
@@ -404,12 +394,11 @@ def dyadic_embedding(
     if a % 8 != 1:
         raise TwoNotSplit(f"2 does not split in Q(sqrt {a})")
     if frak is None:
-        _, fraks = primes_above(2, a, max(precision + 1, DEFAULT_PRECISION))
-        frak = fraks[0]
+        frak = primes_above(2, a)[1][0]
     v, unit = _split_embedding(beta, frak, unit_digits=precision)
     if v % 2:
         raise OddValuation("odd dyadic valuation")
-    return _frac_mod(unit, 1 << precision)
+    return unit
 
 
 # ---------------------------------------------------------------------------

@@ -145,17 +145,6 @@ class RedeiMatrixR8:
         return gf2.rank(list(self.rows), len(self.col_labels))
 
 
-def _quotient_basis(vectors: list[int], modulus: int, ncols: int) -> list[int]:
-    """Greedy subset of vectors independent modulo the span of modulus."""
-    span = [modulus]
-    out = []
-    for v in vectors:
-        if not gf2.in_span(v, span, ncols):
-            out.append(v)
-            span.append(v)
-    return out
-
-
 def build_R8(D: int) -> RedeiMatrixR8:
     m4 = build_R4(D)
     t = m4.t
@@ -168,17 +157,17 @@ def build_R8(D: int) -> RedeiMatrixR8:
             if (vec >> j) & 1:
                 m *= primes[j]
         cols.append(m)
-    # rows: basis of ker(R4^T) modulo the all-one vector
+    # rows: basis of ker(R4^T) modulo the all-one vector.  R4's columns sum to 0,
+    # so the all-one vector lies in that kernel, and it is the sum of the canonical
+    # basis (one vector per free column, 1 there and 0 at the other free columns):
+    # every vector but the last is a basis of the quotient
     transpose = [0] * t
     for i in range(t):
         for j in range(t):
             if m4.entry(i, j):
                 transpose[j] |= 1 << i
-    cokernel = gf2.nullspace_basis(transpose, t)
-    all_one = (1 << t) - 1
-    row_vecs = _quotient_basis(cokernel, all_one, t)
     decs, rows = [], []
-    for vec in row_vecs:
+    for vec in gf2.nullspace_basis(transpose, t)[:-1]:
         d1 = 1
         for i in range(t):
             if (vec >> i) & 1:

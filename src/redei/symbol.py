@@ -284,7 +284,7 @@ def _odd_part(w: MinRamWitness, p: int) -> tuple[int, str]:
         side, elt, radicand = B_SIDE, w.alpha, w.b
     else:
         side, elt, radicand = A_SIDE, w.beta, w.a
-    kind, fraks = primes_above(p, radicand)
+    kind, fraks = primes_above(p, radicand, 1)
     if kind != SPLIT:
         raise RamificationAssertFailed(
             f"{p} does not split in the evaluation field Q(sqrt {radicand})"

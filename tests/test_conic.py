@@ -216,3 +216,18 @@ def test_empty_box_reads_the_local_symbols(monkeypatch):
             find(-20, 41)
         with pytest.raises(NotSolvable):
             find(-1, -1)
+
+
+def test_unsolvable_large_box_is_not_scanned(monkeypatch):
+    # 3^2 and 100003^2 leave the lattices more candidates than the box's
+    # 1e6 cells, so the box goes back to the cell scan, which must not run
+    def no_scan(a, b, ybound, zbound):
+        pytest.fail(f"scanned the {ybound} x {zbound} box of ({a}, {b})")
+
+    monkeypatch.setattr(conic, "_search", no_scan)
+    b = 27 * 100003**2
+    ybound, zbound = isqrt(b), 1
+    if _lattices(-1, b, ybound, zbound)[1] <= (ybound + 1) * (zbound + 1):
+        pytest.fail("the box takes the lattice path")
+    with pytest.raises(NotSolvable):
+        solve(-1, b)

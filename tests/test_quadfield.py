@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redei.arith import kronecker, padic_val, square_class
+from redei.arith import discriminant, kronecker, mod_p, padic_val, square_class
 from redei.errors import (
+    InvariantViolated,
     NotTwoUnit,
     OddValuation,
     PartUndefined,
@@ -406,3 +407,136 @@ def test_dyadic_embedding_consistency():
                 if v % 2 or v > 6:
                     continue
                 assert dyadic_embedding(beta, 5, frak=frak) == img % 32
+
+
+def ref_lift(frak, precision):
+    """The same split prime with its root mod p**precision, in the same root class."""
+    p = frak.p
+    if precision <= frak.precision:
+        return frak
+    if p == 2:
+        r = quadfield._hensel_sqrt_2(frak.a, precision)
+        if r % 4 != frak.root % 4:
+            r = (1 << precision) - r
+    else:
+        r = quadfield._hensel_sqrt_odd(frak.a, p, precision)
+        if r % p != frak.root % p:
+            r = p**precision - r
+    return DegreeOnePrime(p, frak.a, SPLIT, r, precision)
+
+
+def ref_split_embedding(beta, frak, unit_digits=1):
+    """The lifting embedding: clear p from the coordinate denominators by an even
+    power of p, then double the precision of the root until the valuation of the
+    image x + y*r is resolved.  The valuation is exact for p-integral coordinates
+    and shifted by that even power otherwise; the unit part is a rational."""
+    p = frak.p
+    m = max([0] + [-padic_val(c, p) for c in (beta.x, beta.y) if c != 0])
+    if m > 0:
+        beta = beta * p ** (2 * ((m + 1) // 2))
+    slack = 1 if p == 2 else 0  # the 2-adic root is one bit short of its precision
+    while True:
+        image = beta.x + beta.y * frak.root
+        if image != 0:
+            v = padic_val(image, p)
+            if v + unit_digits + slack <= frak.precision:
+                return v, Fraction(image) / p**v
+        frak = ref_lift(frak, frak.precision * 2)
+
+
+_SPLIT_RADICANDS = [a for a in range(-100, 101) if a not in (0, 1) and square_class(a) == a]
+_split_at_two = st.sampled_from([(2, a) for a in _SPLIT_RADICANDS if a % 8 == 1])
+_split_at_odd = st.sampled_from(
+    [
+        (p, a)
+        for p in (3, 5, 7, 11, 13, 17, 19, 23)
+        for a in _SPLIT_RADICANDS
+        if kronecker(discriminant(a), p) == 1
+    ]
+)
+
+
+def _frak_side_uniformizer(p, a):
+    """An element of positive valuation at the canonical prime over p and of
+    valuation 0 at its conjugate: r + sqrt a for odd p, (3 + sqrt a)/2 at 2."""
+    if p == 2:
+        return QuadElt(Fraction(3, 2), Fraction(1, 2), a)
+    return QuadElt(-primes_above(p, a, 1)[1][0].root % p, 1, a)
+
+
+@settings(derandomize=True, database=None, max_examples=800, deadline=None)
+@given(
+    st.one_of(_split_at_two, _split_at_odd),
+    st.integers(-300, 300), st.integers(-300, 300),
+    st.integers(-3, 5), st.integers(-3, 5),  # p-content of each coordinate
+    st.sampled_from((1, 3, 5, 7, 11)), st.sampled_from((1, 3, 5, 7, 11)),
+    st.integers(0, 8), st.integers(0, 3),  # powers of g and of its conjugate
+    st.integers(1, 6), st.integers(1, 6), st.booleans(),
+)
+def test_split_embedding_matches_lifting_reference(
+    pa, x, y, kx, ky, dx, dy, i, j, digits, precision, conjugate
+):
+    # no bare assert, so that the property also checks under python -O
+    p, a = pa
+    if x == 0 and y == 0:
+        return
+    dx, dy = (dx if dx % p else 1), (dy if dy % p else 1)
+    beta = QuadElt(x * Fraction(p) ** kx / dx, y * Fraction(p) ** ky / dy, a)
+    g = _frak_side_uniformizer(p, a)
+    for _ in range(i):
+        beta = beta * g
+    for _ in range(j):
+        beta = beta * g.conjugate()
+    if p == 2:
+        precision = max(precision, 3)  # the two root classes differ mod 4
+    else:
+        digits = min(digits, precision)  # the root is read mod p**digits
+    frak = primes_above(p, a, precision)[1][int(conjugate)]
+    v, unit = quadfield._split_embedding(beta, frak, digits)
+    ref_v, ref_unit = ref_split_embedding(beta, frak, digits)
+    mod = p**digits
+    if type(unit) is not int or not 0 <= unit < mod or unit % p == 0:
+        pytest.fail(f"{beta!r} at {frak}: unit {unit!r} is not a unit residue mod {mod}")
+    if unit != mod_p(ref_unit, mod):
+        pytest.fail(f"{beta!r} at {frak}: unit {unit}, reference {mod_p(ref_unit, mod)}")
+    if (v - ref_v) % 2:
+        pytest.fail(f"{beta!r} at {frak}: valuation {v}, reference {ref_v}")
+    p_integral = all(padic_val(c, p) >= 0 for c in (beta.x, beta.y) if c != 0)
+    if p_integral and v != ref_v:
+        pytest.fail(f"{beta!r} at {frak}: valuation {v}, reference {ref_v}")
+
+
+def test_two_unit_class_ignores_powers_of_four():
+    # 2 in a coordinate denominator is cleared by an even power of 2
+    for a in (-5, 17):
+        cls = dyadic_unit_class(QuadElt(Fraction(1, 4), 0, a))
+        if cls != dyadic_unit_class(QuadElt(1, 0, a)) or not cls.is_square:
+            pytest.fail(f"class of 1/4 over {a}: {cls}")
+    rng = random.Random(4)
+    radicands = (-14, -10, -7, -6, -5, -3, -2, -1, 2, 3, 5, 6, 7, 10, 11, 13, 17, 33, 41)
+    for _ in range(400):
+        a = rng.choice(radicands)
+        beta = QuadElt(rng.randint(-40, 40), rng.randint(-40, 40), a)
+        if beta.is_zero():
+            continue
+        beta = beta / rng.choice((1, 3, 5))
+        base = _outcome(dyadic_unit_class, beta)
+        base_c2 = _outcome(is_conductor_two, beta) if a % 4 == 3 else None
+        for k in range(-3, 4):
+            scaled = beta * Fraction(4) ** k
+            found = _outcome(dyadic_unit_class, scaled)
+            # the class mod 4O may change by the unit square -1; its square verdict may not
+            if (found is NotTwoUnit) != (base is NotTwoUnit) or (
+                base is not NotTwoUnit and found.is_square != base.is_square
+            ):
+                pytest.fail(f"{scaled!r}: {found}, while {beta!r} gives {base}")
+            if a % 4 == 3 and _outcome(is_conductor_two, scaled) != base_c2:
+                pytest.fail(f"conductor-2 test of {scaled!r} differs from {beta!r}")
+
+
+def test_split_embedding_needs_digits_the_root_has():
+    # a unit part mod p**0 says nothing, and an odd root is read mod p**unit_digits
+    with pytest.raises(InvariantViolated):
+        dyadic_embedding(QuadElt(1, 2, 17), 0)
+    with pytest.raises(InvariantViolated):
+        quadfield._split_embedding(QuadElt(1, 2, -1), primes_above(5, -1, 1)[1][0], 2)

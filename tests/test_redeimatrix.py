@@ -1,5 +1,9 @@
+from math import prod
+from types import SimpleNamespace
+
 import pytest
 
+from redei import gf2, redeimatrix
 from redei.arith import is_fundamental_discriminant
 from redei.errors import NotFundamental, NotSquarefree, TrivialClass
 from redei.redeimatrix import (
@@ -150,3 +154,37 @@ def test_governing_r4_check():
     for sig, pairs in rep.classes.items():
         if sig[0] % 4 == 3:
             assert {v for _, v in pairs} == {0}
+
+
+def ref_quotient_basis(vectors: list[int], modulus: int, ncols: int) -> list[int]:
+    """Greedy subset of vectors independent modulo the span of modulus."""
+    span = [modulus]
+    out = []
+    for v in vectors:
+        if not gf2.in_span(v, span, ncols):
+            out.append(v)
+            span.append(v)
+    return out
+
+
+def test_R8_rows_match_greedy_quotient_basis(monkeypatch):
+    # only the row choice is compared, so a stub stands in for the symbols
+    monkeypatch.setattr(redeimatrix, "redei_symbol", lambda a, b, c: SimpleNamespace(value=1))
+    checked = 0
+    for D in range(-20000, 20001):
+        if not is_fundamental_discriminant(D):
+            continue
+        m4 = build_R4(D)
+        t = m4.t
+        transpose = [sum(m4.entry(i, j) << i for i in range(t)) for j in range(t)]
+        cokernel = gf2.nullspace_basis(transpose, t)
+        expected = []
+        for vec in ref_quotient_basis(cokernel, (1 << t) - 1, t):
+            d1 = prod(part for i, part in enumerate(m4.row_labels) if vec >> i & 1)
+            expected.append((d1, D // d1))
+        found = [(s.d1, s.d2) for s in build_R8(D).row_labels]
+        if found != expected:
+            pytest.fail(f"R8 rows of {D}: {found}, greedy reference {expected}")
+        checked += 1
+    if checked != 12160:
+        pytest.fail(f"{checked} fundamental discriminants with |D| <= 20000")
