@@ -156,16 +156,10 @@ class ClassGroup:
     def __init__(self, D: int, reps: list[tuple[int, int, int]], canon: dict | None = None):
         self.D = D
         self._reps = reps
-        if canon is not None:
-            self._canon = canon  # reduced form tuple -> canonical tuple
+        self._canon = canon  # D > 0: reduced form tuple -> canonical tuple
         self._isq = isqrt(D) if D > 0 else 0
         b0 = D % 2
         self._identity = self._reduce((1, b0, (b0 * b0 - D) // 4))
-
-    @cached_property
-    def _canon(self) -> dict:
-        # D < 0: every reduced form is its own canonical form
-        return {f: f for f in self._reps}
 
     @cached_property
     def elements(self) -> list[FormClass]:

@@ -5,12 +5,15 @@ Conventions.  For odd radicands the maximal order Z[(1+sqrt a)/2] is used where
 2-splitting matters; for even discriminants everything happens in Z[sqrt a].
 A degree-one prime is identified by a residue root r with r^2 = a mod p^k; the
 conjugate prime carries -r.  The canonical prime of a split pair is the one whose
-root has the smaller residue mod p (mod 4 for p = 2), whatever the precision k.
+root has the smaller residue mod p (mod 4 for p = 2).  So a root is held to at
+least p^1, and to at least 2^2 at p = 2, where the two roots first differ.
 
-At a split prime the valuation and the unit part of an element are exact, with
-no p-adic precision to raise: one of the two embeddings of beta / p^m is a unit,
-for m the p-content of beta, and the norm gives the other.  So the residue root
-is read mod p at odd p, and mod 2^(d+1) for a unit wanted mod 2^d.
+At a split p, split_units gives the valuation and the unit part of an element
+at both primes above p, canonical first, with no p-adic precision to raise:
+for m the p-content of beta, at most one of the two embeddings of beta / p^m
+is a non-unit, and the norm gives that one's valuation and unit.  So the
+residue root is read mod p at odd p, and mod 2^(d+1) for a unit wanted mod
+2^d.  Which prime above p a local part is read at is decided from that pair.
 
 Element coordinates have one normal form: an int when the coordinate is
 integral and a Fraction otherwise.  The conic witnesses t(x + y sqrt a) and
@@ -184,7 +187,10 @@ def primes_above(p: int, a: int, precision: int = DEFAULT_PRECISION):
     """Splitting of p in Q(sqrt a): (kind, [DegreeOnePrime, ...]).
 
     SPLIT returns the canonical prime first, then its conjugate; INERT returns [].
+    The two roots differ only from p**1 on, and from 2**2 on at p = 2.
     """
+    if precision < (2 if p == 2 else 1):
+        raise InvariantViolated(f"roots mod {p}**{precision} do not tell the primes apart")
     if a == 1:
         raise TrivialClass("no quadratic field for a = 1")
     if p == 2:
@@ -215,39 +221,61 @@ def _content(x, y, p: int) -> tuple[int, int, int, int]:
     return u // p**m, w // p**m, d // p**e, m - e
 
 
+def split_units(
+    beta: QuadElt, p: int, unit_digits: int = 1
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """((v, u), (v', u')): the valuation of beta and its unit part mod
+    p**unit_digits at the canonical prime above a split p, then at its conjugate.
+
+    With m the p-content of beta, in the basis 1, theta = (1 + sqrt a)/2 at
+    p = 2, the two embeddings of beta / p**m differ by a unit times a
+    coordinate prime to p, so at most one of them is a non-unit.  That one's
+    unit part is N(beta) / p**v_p(N beta) over the other embedding.
+    """
+    a, mod = beta.a, p**unit_digits
+    if unit_digits < 1:
+        raise InvariantViolated(f"unit mod {p}**{unit_digits}")
+    if p == 2:
+        if a % 8 != 1:
+            raise InvariantViolated(f"2 does not split in Q(sqrt {a})")
+        x, y = _theta_coords(beta)
+        # a root mod 2**k fixes the 2-adic root only mod 2**(k - 1)
+        s = (1 + _hensel_sqrt_2(a, unit_digits + 2)) // 2  # theta at the canonical prime
+        s_conj = 1 - s
+    else:
+        kind, fraks = primes_above(p, a, unit_digits)
+        if kind != SPLIT:
+            raise InvariantViolated(f"{p} does not split in Q(sqrt {a})")
+        x, y = beta.x, beta.y
+        s = fraks[0].root
+        s_conj = -s
+    u, w, d, m = _content(x, y, p)
+    num, num_conj = u + w * s, u + w * s_conj
+    d_inv = pow(d, -1, mod)
+    if num % p and num_conj % p:
+        return (m, num * d_inv % mod), (m, num_conj * d_inv % mod)
+    norm = beta.norm()
+    v = padic_val(norm, p)
+    norm = _exact_div(norm, p**v) if v >= 0 else norm * p**-v
+    norm = mod_p(norm, mod) * d
+    if num % p:
+        return (m, num * d_inv % mod), (v - m, norm * pow(num, -1, mod) % mod)
+    return (v - m, norm * pow(num_conj, -1, mod) % mod), (m, num_conj * d_inv % mod)
+
+
 def _split_embedding(
     beta: QuadElt, frak: DegreeOnePrime, unit_digits: int = 1
 ) -> tuple[int, int]:
-    """(valuation, unit part mod p**unit_digits) of beta in the completion at a split prime.
-
-    With m the p-content of beta, in the basis 1, theta = (1 + sqrt a)/2 at
-    p = 2, one of the two embeddings of beta / p**m is a unit.  If frak's is
-    not, the unit part is N(beta) / p**v_p(N beta) over the other one.
-    """
-    p, mod = frak.p, frak.p**unit_digits
+    """(valuation, unit part mod p**unit_digits) of beta at the split prime frak:
+    frak's entry of split_units."""
+    p = frak.p
     if unit_digits < 1 or p != 2 and unit_digits > frak.precision:
         raise InvariantViolated(
             f"unit mod {p}**{unit_digits} from a root mod {p}**{frak.precision}"
         )
-    if p == 2:
-        x, y = _theta_coords(beta)
-        # a root mod 2**k fixes the 2-adic root only mod 2**(k - 1)
-        r = _hensel_sqrt_2(frak.a, unit_digits + 2)
-        if frak.root % 4 != 1:
-            r = -r
-        s = (1 + r) // 2  # theta at frak; 1 - s at its conjugate
-        s_conj = 1 - s
-    else:
-        x, y = beta.x, beta.y
-        s, s_conj = frak.root, -frak.root
-    u, w, d, m = _content(x, y, p)
-    image = (u + w * s) * pow(d, -1, mod) % mod
-    if image % p:
-        return m, image
-    norm = beta.norm()
-    v = padic_val(norm, p)
-    norm = _exact_div(norm, p**v) if v >= 0 else norm * p**-v
-    return v - m, mod_p(norm, mod) * d * pow(u + w * s_conj, -1, mod) % mod
+    # the canonical root is 1 mod 4 at p = 2 and the smaller residue mod p otherwise
+    conjugate = frak.root % 4 != 1 if p == 2 else 2 * (frak.root % p) > p
+    return split_units(beta, p, unit_digits)[conjugate]
 
 
 def residue_symbol(beta: QuadElt, frak: DegreeOnePrime) -> int:
@@ -316,10 +344,12 @@ def _max_order_squares(a_mod16: int) -> frozenset:
 
 @dataclass(frozen=True)
 class DyadicUnitClass:
-    """Residue of a 2-unit mod 4O with its square-membership flag.
+    """Square class of a 2-unit mod 4O with its square-membership flag.
 
     ring is "sqrt" (Z[sqrt a], even discriminant) or "maximal" (Z[theta], odd a);
-    coords are the mod-4 coordinates in the respective basis.
+    coords are the mod-4 coordinates, in the respective basis, of the least
+    member of the class's coset of unit squares, so that they depend only on
+    the square class.
     """
 
     a: int
@@ -362,15 +392,20 @@ def _reduce_two_unit(beta: QuadElt) -> QuadElt:
 
 
 def dyadic_unit_class(beta: QuadElt) -> DyadicUnitClass:
-    """Class of beta (a 2-unit up to rational squares; reduced here) in (O/4O)*."""
+    """Class of beta (a 2-unit up to squares of K_a*; reduced here) in (O/4O)* / squares."""
     beta = _reduce_two_unit(beta)
     a = beta.a
+    # in the basis 1, t with t^2 = e*t + f: t = sqrt a, or theta when a is odd
     if discriminant(a) % 2 == 0:
-        coords = (mod_p(beta.x, 4), mod_p(beta.y, 4))
-        return DyadicUnitClass(a, "sqrt", coords, coords in _sqrt_ring_squares(a % 4))
-    p, q = _theta_coords(beta)
-    coords = (mod_p(p, 4), mod_p(q, 4))
-    return DyadicUnitClass(a, "maximal", coords, coords in _max_order_squares(a % 16))
+        ring, (x, y), e, f, squares = "sqrt", (beta.x, beta.y), 0, a, _sqrt_ring_squares(a % 4)
+    else:
+        ring, (x, y), e, f = "maximal", _theta_coords(beta), 1, (a - 1) // 4
+        squares = _max_order_squares(a % 16)
+    x, y = mod_p(x, 4), mod_p(y, 4)
+    # the least member of the coset (x, y) * squares, which is the same for every
+    # representative of the square class
+    coords = min(((x * g + f * y * h) % 4, (x * h + y * g + e * y * h) % 4) for g, h in squares)
+    return DyadicUnitClass(a, ring, coords, (x, y) in squares)
 
 
 def is_conductor_two(beta: QuadElt) -> bool:
@@ -410,16 +445,8 @@ def unramified_at_two(elt: QuadElt) -> bool:
     """Does E(sqrt elt) stay unramified over 2, for elt over Q(sqrt s), other radicand odd?"""
     s = elt.a
     if s % 8 == 1:
-        # per-prime: even valuation and unit = 1 mod 4 at both dyadic primes
-        _, fraks = primes_above(2, s)
-        for frak in fraks:
-            try:
-                unit = dyadic_embedding(elt, 2, frak)
-            except OddValuation:
-                return False
-            if unit != 1:
-                return False
-        return True
+        # even valuation and unit = 1 mod 4 at both dyadic primes
+        return all(v % 2 == 0 and u == 1 for v, u in split_units(elt, 2, 2))
     try:
         return dyadic_unit_class(elt).is_square
     except NotTwoUnit:

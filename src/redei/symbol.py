@@ -27,21 +27,12 @@ from .conic import ConicSolution, solve
 from .errors import (
     DegenerateSquareClass,
     InvalidTriple,
-    OddValuation,
     PartUndefined,
     RamificationAssertFailed,
     TrivialClass,
 )
 from .gf2 import in_span
-from .quadfield import (
-    SPLIT,
-    QuadElt,
-    conductor_two_at_two,
-    dyadic_embedding,
-    primes_above,
-    residue_symbol,
-    unramified_at_two,
-)
+from .quadfield import QuadElt, conductor_two_at_two, split_units, unramified_at_two
 
 A_SIDE = "A"
 B_SIDE = "B"
@@ -280,41 +271,23 @@ def twist_witness(w: MinRamWitness, t: int) -> MinRamWitness:
 
 def _odd_part(w: MinRamWitness, p: int) -> tuple[int, str]:
     # prefer the side where p splits: the B side when p | a, the A side otherwise
-    if w.a % p == 0:
-        side, elt, radicand = B_SIDE, w.alpha, w.b
-    else:
-        side, elt, radicand = A_SIDE, w.beta, w.a
-    kind, fraks = primes_above(p, radicand, 1)
-    if kind != SPLIT:
-        raise RamificationAssertFailed(
-            f"{p} does not split in the evaluation field Q(sqrt {radicand})"
-        )
-    for frak in fraks:
-        try:
-            return residue_symbol(elt, frak), side
-        except OddValuation:
-            continue
+    side, elt = (B_SIDE, w.alpha) if w.a % p == 0 else (A_SIDE, w.beta)
+    for v, unit in split_units(elt, p):
+        if v % 2 == 0:
+            return kronecker(unit, p), side
     raise RamificationAssertFailed(f"odd valuation over {p} at both conjugate primes")
 
 
 def _dyadic_part(w: MinRamWitness) -> tuple[int, str]:
     # relabel to the side whose radicand is 1 mod 8, where 2 splits
     if w.a % 8 == 1:
-        side, elt, radicand = A_SIDE, w.beta, w.a
+        side, elt = A_SIDE, w.beta
     elif w.b % 8 == 1:
-        side, elt, radicand = B_SIDE, w.alpha, w.b
+        side, elt = B_SIDE, w.alpha
     else:
         raise RamificationAssertFailed("no side with radicand 1 mod 8 at p = 2")
-    _, fraks = primes_above(2, radicand)
-    values = set()
-    for frak in fraks:
-        try:
-            u = dyadic_embedding(elt, 3, frak)
-        except OddValuation:
-            continue
-        if u % 4 != 1:
-            continue  # the square root ramifies at this prime; use the conjugate
-        values.add(1 if u == 1 else -1)
+    # at a prime of odd valuation, or of unit 3 mod 4, the square root ramifies
+    values = {1 if u == 1 else -1 for v, u in split_units(elt, 2, 3) if v % 2 == 0 and u % 4 == 1}
     if len(values) != 1:
         raise RamificationAssertFailed(
             f"dyadic part undetermined for ({w.a}, {w.b}): units {values}"

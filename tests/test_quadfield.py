@@ -11,6 +11,7 @@ from redei.errors import (
     NotTwoUnit,
     OddValuation,
     PartUndefined,
+    RamificationAssertFailed,
     TrivialClass,
     TwoNotSplit,
     WrongDiscriminantClass,
@@ -27,7 +28,10 @@ from redei.quadfield import (
     is_conductor_two,
     primes_above,
     residue_symbol,
+    split_units,
+    unramified_at_two,
 )
+from redei.symbol import MinRamWitness, _dyadic_part
 
 
 def test_norm_examples():
@@ -540,3 +544,129 @@ def test_split_embedding_needs_digits_the_root_has():
         dyadic_embedding(QuadElt(1, 2, 17), 0)
     with pytest.raises(InvariantViolated):
         quadfield._split_embedding(QuadElt(1, 2, -1), primes_above(5, -1, 1)[1][0], 2)
+
+
+_ONE_MOD_8 = [a for a in _SPLIT_RADICANDS if a % 8 == 1]
+
+
+def test_primes_above_needs_digits_that_tell_the_primes_apart():
+    # at 2 the two roots agree mod 2, and at odd p every root is 0 mod p**0
+    beta = QuadElt(1, 2, 17)
+    if dyadic_embedding(beta, 3, primes_above(2, 17, 6)[1][1]) != 7:
+        pytest.fail("the conjugate dyadic prime over 17 gives no 7 mod 8 for 1 + 2 sqrt 17")
+    for a in _ONE_MOD_8:
+        beta = QuadElt(1, 2, a)  # odd norm: a unit at both dyadic primes
+        reference = [dyadic_embedding(beta, 3, f) for f in primes_above(2, a, 6)[1]]
+        for k in range(2, 9):
+            fraks = primes_above(2, a, k)[1]
+            if fraks[0] == fraks[1]:
+                pytest.fail(f"primes_above(2, {a}, {k}) gives {fraks[0]} twice")
+            found = [dyadic_embedding(beta, 3, f) for f in fraks]
+            if found != reference:
+                pytest.fail(f"units of {beta!r} at precision {k}: {found}, at 6: {reference}")
+        for k in (-1, 0, 1):
+            with pytest.raises(InvariantViolated):
+                primes_above(2, a, k)
+    for p, a in ((5, -1), (3, 7), (13, 17)):
+        for k in (1, 2, 3):
+            fraks = primes_above(p, a, k)[1]
+            if fraks[0] == fraks[1]:
+                pytest.fail(f"primes_above({p}, {a}, {k}) gives {fraks[0]} twice")
+        for k in (-1, 0):
+            with pytest.raises(InvariantViolated):
+                primes_above(p, a, k)
+
+
+def test_split_units_needs_a_split_prime():
+    # a RedeiError, so the CLI maps it to exit 6 rather than a traceback:
+    # 2 is inert over 5 and ramified over -2; 3 is inert over -1, 5 ramified over -5
+    for p, a in ((2, 5), (2, -2), (3, -1), (5, -5)):
+        with pytest.raises(InvariantViolated):
+            split_units(QuadElt(1, 1, a), p)
+    with pytest.raises(InvariantViolated):
+        split_units(QuadElt(1, 1, 17), 2, 0)
+
+
+def test_dyadic_unit_class_coords_name_the_square_class():
+    # 4 beta = beta * u^2 with u^2 = -1 mod 4O when a = 3 mod 4
+    for a in (-5, -1, 7):
+        coords = {dyadic_unit_class(QuadElt(1, 2, a) * 4**k).coords for k in range(3)}
+        if len(coords) != 1:
+            pytest.fail(f"1 + 2 sqrt {a} times powers of 4: coords {coords}")
+    rng = random.Random(5)
+    radicands = (-14, -10, -7, -6, -5, -3, -2, -1, 2, 3, 5, 6, 7, 10, 11, 13, 17, 33, 41)
+    for _ in range(400):
+        a = rng.choice(radicands)
+        beta = QuadElt(rng.randint(-40, 40), rng.randint(-40, 40), a) / rng.choice((1, 3, 5))
+        base = _outcome(dyadic_unit_class, beta)
+        if base is NotTwoUnit:
+            continue
+        s = QuadElt(rng.randint(-9, 9), rng.randint(-9, 9), a)
+        if s.norm() % 2 == 0:
+            s = QuadElt(1, 0, a)  # the square of s must be a 2-unit
+        for k in range(-3, 4):
+            for scaled in (beta * Fraction(4) ** k, beta * s * s * Fraction(4) ** k):
+                found = dyadic_unit_class(scaled)
+                if found.coords != base.coords or found.is_square != base.is_square:
+                    pytest.fail(f"{scaled!r}: {found}, while {beta!r} gives {base}")
+
+
+def ref_unramified_at_two(elt):
+    """The per-prime loop: even valuation and unit 1 mod 4 at both dyadic primes."""
+    for frak in primes_above(2, elt.a)[1]:
+        try:
+            if dyadic_embedding(elt, 2, frak) != 1:
+                return False
+        except OddValuation:
+            return False
+    return True
+
+
+def ref_dyadic_units(elt):
+    """The signs of the units mod 8 that are 1 mod 4, at the dyadic primes of even
+    valuation: the conjugate stands in where the square root ramifies."""
+    values = set()
+    for frak in primes_above(2, elt.a)[1]:
+        try:
+            u = dyadic_embedding(elt, 3, frak)
+        except OddValuation:
+            continue
+        if u % 4 == 1:
+            values.add(1 if u == 1 else -1)
+    return values
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(
+    st.sampled_from(_ONE_MOD_8), _coord, _coord,
+    st.integers(0, 6), st.integers(0, 6),  # powers of g and of its conjugate
+)
+def test_split_units_match_the_per_prime_loops(a, x, y, i, j):
+    # no bare assert, so that the property also checks under python -O
+    if x == 0 and y == 0:
+        return
+    beta = QuadElt(x, y, a)
+    g = _frak_side_uniformizer(2, a)
+    for _ in range(i):
+        beta = beta * g
+    for _ in range(j):
+        beta = beta * g.conjugate()
+    if unramified_at_two(beta) != ref_unramified_at_two(beta):
+        pytest.fail(f"unramified_at_two({beta!r}) = {unramified_at_two(beta)}")
+    pair = split_units(beta, 2, 3)
+    values = {1 if u == 1 else -1 for v, u in pair if v % 2 == 0 and u % 4 == 1}
+    ref = ref_dyadic_units(beta)
+    if values != ref:
+        pytest.fail(f"{beta!r}: units {values} from {pair}, reference {ref}")
+    # the order of the pair: canonical prime first, against the lifting reference
+    for (v, u), frak in zip(pair, primes_above(2, a)[1]):
+        ref_v, ref_u = ref_split_embedding(beta, frak, 3)
+        if (v - ref_v) % 2 or u != mod_p(ref_u, 8):
+            pytest.fail(f"{beta!r} at {frak}: {(v, u)}, reference {(ref_v, ref_u)}")
+    # the witness path reads the same set; a stand-in witness carries beta alone
+    try:
+        found = _dyadic_part(MinRamWitness(a, 0, beta, None, 1, None, ""))[0]
+    except RamificationAssertFailed:
+        found = None
+    if found != (min(ref) if len(ref) == 1 else None):
+        pytest.fail(f"_dyadic_part of {beta!r} is {found}, reference units {ref}")
