@@ -14,19 +14,7 @@ from .arith import (
 )
 from .conic import ConicSolution, enumerate_solutions, is_solvable, solve
 from .oracle import ClassGroup, FormClass, compose, enumerate_classes, narrow_ranks
-from .quadfield import (
-    INERT,
-    RAMIFIED,
-    SPLIT,
-    DegreeOnePrime,
-    DyadicUnitClass,
-    QuadElt,
-    dyadic_embedding,
-    dyadic_unit_class,
-    is_conductor_two,
-    primes_above,
-    residue_symbol,
-)
+from .quadfield import DyadicUnitClass, QuadElt, dyadic_unit_class, is_conductor_two, split_units
 from .redeimatrix import (
     RedeiMatrixR4,
     RedeiMatrixR8,
@@ -65,9 +53,7 @@ __all__ = [
     # oracle
     "ClassGroup", "FormClass", "compose", "enumerate_classes", "narrow_ranks",
     # quadfield
-    "INERT", "RAMIFIED", "SPLIT", "DegreeOnePrime", "DyadicUnitClass", "QuadElt",
-    "dyadic_embedding", "dyadic_unit_class", "is_conductor_two", "primes_above",
-    "residue_symbol",
+    "DyadicUnitClass", "QuadElt", "dyadic_unit_class", "is_conductor_two", "split_units",
     # redeimatrix
     "RedeiMatrixR4", "RedeiMatrixR8", "SecondKindDecomposition", "build_R4", "build_R8",
     "fundamental_discriminant", "governing_r4_check", "r2", "r4", "r8", "ranks",

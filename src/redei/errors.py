@@ -25,23 +25,11 @@ class NotFundamental(RedeiError):
     pass
 
 
-class OddValuation(RedeiError):
-    pass
-
-
-class InertPrime(RedeiError):
-    pass
-
-
 class NotTwoUnit(RedeiError):
     pass
 
 
 class WrongDiscriminantClass(RedeiError):
-    pass
-
-
-class TwoNotSplit(RedeiError):
     pass
 
 

@@ -1,19 +1,20 @@
-"""Exact arithmetic in quadratic fields Q(sqrt(a)): elements, degree-one primes,
-residue symbols, and the dyadic unit-class machinery used to normalize ramification.
+"""Exact arithmetic in quadratic fields Q(sqrt(a)): elements, their valuations
+and unit parts at the two primes above a split p, and the dyadic unit-class
+machinery used to normalize ramification.
 
 Conventions.  For odd radicands the maximal order Z[(1+sqrt a)/2] is used where
 2-splitting matters; for even discriminants everything happens in Z[sqrt a].
-A degree-one prime is identified by a residue root r with r^2 = a mod p^k; the
-conjugate prime carries -r.  The canonical prime of a split pair is the one whose
-root has the smaller residue mod p (mod 4 for p = 2).  So a root is held to at
-least p^1, and to at least 2^2 at p = 2, where the two roots first differ.
+The primes above a split p send sqrt a to the two p-adic roots r and -r of a.
+The canonical one is that of the root with the smaller residue mod p, or of
+the root that is 1 mod 4 at p = 2, where the two roots first differ.
 
-At a split p, split_units gives the valuation and the unit part of an element
-at both primes above p, canonical first, with no p-adic precision to raise:
-for m the p-content of beta, at most one of the two embeddings of beta / p^m
-is a non-unit, and the norm gives that one's valuation and unit.  So the
-residue root is read mod p at odd p, and mod 2^(d+1) for a unit wanted mod
-2^d.  Which prime above p a local part is read at is decided from that pair.
+split_units gives the valuation and the unit part of an element at both primes
+above a split p, canonical first, with no p-adic precision to raise: for m the
+p-content of beta, at most one of the two embeddings of beta / p^m is a
+non-unit, and the norm gives that one's valuation and unit.  So a unit wanted
+mod p^d reads the root mod p^d, a Hensel lift computed on each call, and at
+p = 2 mod 2^(d+1), which fixes (1 + sqrt a)/2 mod 2^d.  Which prime above p a
+local part is read at is decided from that pair.
 
 Element coordinates have one normal form: an int when the coordinate is
 integral and a Fraction otherwise.  The conic witnesses t(x + y sqrt a) and
@@ -29,23 +30,7 @@ from functools import lru_cache
 from math import gcd
 
 from .arith import CACHE_SIZE, discriminant, kronecker, mod_p, padic_val, sqrt_mod_p
-from .errors import (
-    InertPrime,
-    InvariantViolated,
-    NotTwoUnit,
-    OddValuation,
-    PartUndefined,
-    TrivialClass,
-    TwoNotSplit,
-    WrongDiscriminantClass,
-    ZeroInput,
-)
-
-SPLIT = "split"
-RAMIFIED = "ramified"
-INERT = "inert"
-
-DEFAULT_PRECISION = 6  # residue roots mod p**6 unless a caller asks for fewer digits
+from .errors import InvariantViolated, NotTwoUnit, WrongDiscriminantClass, ZeroInput
 
 
 def _normal(q):
@@ -141,23 +126,6 @@ class QuadElt:
         return QuadElt(_exact_div(self.x, other), _exact_div(self.y, other), self.a)
 
 
-@dataclass(frozen=True)
-class DegreeOnePrime:
-    """A split or ramified prime of Q(sqrt a) over p, with residue data mod p**precision."""
-
-    p: int
-    a: int
-    kind: str
-    root: int  # r with r*r = a mod p**precision; 0 for ramified primes
-    precision: int
-
-    def conjugate(self) -> "DegreeOnePrime":
-        if self.kind != SPLIT:
-            return self
-        mod = self.p**self.precision
-        return DegreeOnePrime(self.p, self.a, self.kind, (-self.root) % mod, self.precision)
-
-
 def _hensel_sqrt_odd(a: int, p: int, k: int) -> int:
     """Root r of r^2 = a mod p**k with r = min root mod p, via Newton lifting."""
     r0 = sqrt_mod_p(a, p)
@@ -180,35 +148,6 @@ def _hensel_sqrt_2(a: int, k: int) -> int:
         if (r * r - a) % (1 << (j + 1)):
             r += 1 << (j - 1)
     return r % (1 << k)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def primes_above(p: int, a: int, precision: int = DEFAULT_PRECISION):
-    """Splitting of p in Q(sqrt a): (kind, [DegreeOnePrime, ...]).
-
-    SPLIT returns the canonical prime first, then its conjugate; INERT returns [].
-    The two roots differ only from p**1 on, and from 2**2 on at p = 2.
-    """
-    if precision < (2 if p == 2 else 1):
-        raise InvariantViolated(f"roots mod {p}**{precision} do not tell the primes apart")
-    if a == 1:
-        raise TrivialClass("no quadratic field for a = 1")
-    if p == 2:
-        if discriminant(a) % 2 == 0:
-            return RAMIFIED, [DegreeOnePrime(2, a, RAMIFIED, 0, precision)]
-        if a % 8 == 1:
-            r = _hensel_sqrt_2(a, precision)  # r = 1 mod 4 is the canonical root
-            frak = DegreeOnePrime(2, a, SPLIT, r, precision)
-            return SPLIT, [frak, frak.conjugate()]
-        return INERT, []
-    kappa = kronecker(discriminant(a), p)
-    if kappa == 0:
-        return RAMIFIED, [DegreeOnePrime(p, a, RAMIFIED, 0, precision)]
-    if kappa == 1:
-        r = _hensel_sqrt_odd(a, p, precision)
-        frak = DegreeOnePrime(p, a, SPLIT, r, precision)
-        return SPLIT, [frak, frak.conjugate()]
-    return INERT, []
 
 
 def _content(x, y, p: int) -> tuple[int, int, int, int]:
@@ -243,11 +182,11 @@ def split_units(
         s = (1 + _hensel_sqrt_2(a, unit_digits + 2)) // 2  # theta at the canonical prime
         s_conj = 1 - s
     else:
-        kind, fraks = primes_above(p, a, unit_digits)
-        if kind != SPLIT:
+        # for odd p, kronecker(a, p) = kronecker(discriminant(a), p)
+        if kronecker(a, p) != 1:
             raise InvariantViolated(f"{p} does not split in Q(sqrt {a})")
         x, y = beta.x, beta.y
-        s = fraks[0].root
+        s = _hensel_sqrt_odd(a, p, unit_digits)  # sqrt a at the canonical prime
         s_conj = -s
     u, w, d, m = _content(x, y, p)
     num, num_conj = u + w * s, u + w * s_conj
@@ -261,48 +200,6 @@ def split_units(
     if num % p:
         return (m, num * d_inv % mod), (v - m, norm * pow(num, -1, mod) % mod)
     return (v - m, norm * pow(num_conj, -1, mod) % mod), (m, num_conj * d_inv % mod)
-
-
-def _split_embedding(
-    beta: QuadElt, frak: DegreeOnePrime, unit_digits: int = 1
-) -> tuple[int, int]:
-    """(valuation, unit part mod p**unit_digits) of beta at the split prime frak:
-    frak's entry of split_units."""
-    p = frak.p
-    if unit_digits < 1 or p != 2 and unit_digits > frak.precision:
-        raise InvariantViolated(
-            f"unit mod {p}**{unit_digits} from a root mod {p}**{frak.precision}"
-        )
-    # the canonical root is 1 mod 4 at p = 2 and the smaller residue mod p otherwise
-    conjugate = frak.root % 4 != 1 if p == 2 else 2 * (frak.root % p) > p
-    return split_units(beta, p, unit_digits)[conjugate]
-
-
-def residue_symbol(beta: QuadElt, frak: DegreeOnePrime) -> int:
-    """Legendre symbol of the unit part of beta at a degree-one prime over odd p.
-
-    beta is reduced by an even power of the uniformizer; an odd valuation is an
-    error (it signals a non-minimally-ramified input).
-    """
-    p = frak.p
-    if p == 2:
-        raise PartUndefined("residue_symbol is for odd primes; use dyadic_embedding at 2")
-    if beta.is_zero():
-        raise ZeroInput("residue symbol of 0")
-    if frak.kind == RAMIFIED:
-        a = beta.a
-        # v_frak(beta) = v_p(norm); dividing by a = (sqrt a)^2 lowers it by 2
-        v = padic_val(beta.norm(), p)
-        if v % 2:
-            raise OddValuation(f"odd valuation at ramified prime over {p}")
-        beta = beta / a ** (v // 2)
-        return kronecker(mod_p(beta.x, p), p)
-    if frak.kind == SPLIT:
-        v, unit = _split_embedding(beta, frak)
-        if v % 2:
-            raise OddValuation(f"odd valuation at split prime over {p}")
-        return kronecker(unit, p)
-    raise InertPrime(f"no degree-one prime over inert {p}")
 
 
 # ---------------------------------------------------------------------------
@@ -416,24 +313,6 @@ def is_conductor_two(beta: QuadElt) -> bool:
     beta = _reduce_two_unit(beta)
     # (O/2O)* = {1, sqrt a}; squares and signs land on 1, so test the raw class
     return mod_p(beta.x, 2) == 1 and mod_p(beta.y, 2) == 0
-
-
-def dyadic_embedding(
-    beta: QuadElt, precision: int = DEFAULT_PRECISION, frak: DegreeOnePrime | None = None
-) -> int:
-    """Odd unit u with beta = u * 2^(2m) at a dyadic prime of Q(sqrt a), a = 1 mod 8.
-
-    Returns u mod 2**precision, computed at the canonical prime unless one is given.
-    """
-    a = beta.a
-    if a % 8 != 1:
-        raise TwoNotSplit(f"2 does not split in Q(sqrt {a})")
-    if frak is None:
-        frak = primes_above(2, a)[1][0]
-    v, unit = _split_embedding(beta, frak, unit_digits=precision)
-    if v % 2:
-        raise OddValuation("odd dyadic valuation")
-    return unit
 
 
 # ---------------------------------------------------------------------------

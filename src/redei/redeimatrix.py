@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 from . import gf2
 from .arith import (
@@ -211,9 +212,11 @@ class GoverningReport:
 
 
 def _primes_upto(n: int) -> list[int]:
+    if n < 2:
+        return []
     sieve = bytearray([1]) * (n + 1)
     sieve[:2] = b"\x00\x00"
-    for i in range(2, int(n**0.5) + 1):
+    for i in range(2, isqrt(n) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return [i for i in range(n + 1) if sieve[i]]

@@ -18,7 +18,6 @@ from itertools import combinations, permutations
 from .arith import (
     CACHE_SIZE,
     INFINITY,
-    discriminant,
     kronecker,
     prime_divisors,
     square_class,
@@ -212,17 +211,22 @@ class MinRamWitness:
 
 
 def _ram_case(a: int, b: int) -> tuple[str, str | None]:
-    """(case, side) where side names the field over which the dyadic test runs."""
-    da, db = discriminant(a), discriminant(b)
-    both_odd = da % 2 == 1 and db % 2 == 1
-    if both_odd:
+    """(case, side) where side names the field over which the dyadic test runs.
+
+    For squarefree n != 1, disc Q(sqrt n) is odd iff n = 1 mod 4, is 1 or 5
+    mod 8 iff n is, and is 4 mod 8 iff n = 3 mod 4."""
+    if a == 1 or b == 1:
+        raise TrivialClass("the trivial square class has no quadratic field")
+    if a % 4 == 1 and b % 4 == 1:
         return UNRAMIFIED_AT_2, "a"
-    if da % 8 == 1:  # db even
+    if a % 8 == 1:  # disc b even
         return UNRAMIFIED_AT_2, "b"
-    if db % 8 == 1:  # da even
+    if b % 8 == 1:  # disc a even
         return UNRAMIFIED_AT_2, "a"
-    if {da % 8, db % 8} == {4, 5}:
-        return TWO_MINIMAL, "a" if da % 8 == 4 else "b"
+    if a % 4 == 3 and b % 8 == 5:
+        return TWO_MINIMAL, "a"
+    if b % 4 == 3 and a % 8 == 5:
+        return TWO_MINIMAL, "b"
     return ODD_ONLY, None
 
 

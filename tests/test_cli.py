@@ -167,9 +167,11 @@ def test_verify_twist_independence_small(capsys):
 
 
 def test_verify_governing_small(capsys):
-    code, out, _ = run(capsys, "verify", "governing", "--max", "300", "--json")
-    assert code == 0
-    assert json.loads(out)["result"] == "ok"
+    # a negative --max is an empty sweep of primes, as in the other suites
+    for bound in ("300", "-5"):
+        code, out, _ = run(capsys, "verify", "governing", "--max", bound, "--json")
+        assert code == 0
+        assert json.loads(out)["result"] == "ok"
 
 
 @pytest.mark.parametrize(

@@ -9,25 +9,14 @@ from redei.arith import discriminant, kronecker, mod_p, padic_val, square_class
 from redei.errors import (
     InvariantViolated,
     NotTwoUnit,
-    OddValuation,
-    PartUndefined,
     RamificationAssertFailed,
-    TrivialClass,
-    TwoNotSplit,
     WrongDiscriminantClass,
 )
 from redei import quadfield
 from redei.quadfield import (
-    INERT,
-    RAMIFIED,
-    SPLIT,
-    DegreeOnePrime,
     QuadElt,
-    dyadic_embedding,
     dyadic_unit_class,
     is_conductor_two,
-    primes_above,
-    residue_symbol,
     split_units,
     unramified_at_two,
 )
@@ -144,78 +133,90 @@ def test_quadelt_normal_form_examples():
     assert QuadElt(1, 1, 5) / 2 == QuadElt(Fraction(1, 2), Fraction(1, 2), 5)
 
 
+def ref_root(p, a, conjugate=False):
+    """The residue of sqrt a at the canonical prime above a split p, by search:
+    the smaller root mod p at odd p, the root 1 mod 4 at p = 2; the other root
+    at the conjugate prime."""
+    mod = 4 if p == 2 else p
+    roots = [r for r in range(mod) if (r * r - a) % (8 if p == 2 else p) == 0]
+    if len(roots) != 2:
+        raise ValueError(f"{p} does not split in Q(sqrt {a})")
+    return roots[int(conjugate)]
+
+
+def ref_lift(p, a, root, precision):
+    """The p-adic root of a in the class of root (mod p, or mod 4 at p = 2),
+    mod p**precision, one digit at a time: each digit is the one that keeps
+    r*r = a mod p**(k + 1), mod 2**(k + 2) at p = 2, where r and r + 2**k
+    first differ there."""
+    known, extra = (2, 1) if p == 2 else (1, 0)
+    r = root % p**known
+    for k in range(known, precision):
+        r = next(t for t in range(r, p ** (k + 1), p**k) if (t * t - a) % p ** (k + 1 + extra) == 0)
+    return r % p**precision
+
+
+def _split_pair(beta, p, digits):
+    """split_units read as the Legendre symbols of the units of even valuation
+    (None at a prime of odd valuation)."""
+    return tuple(None if v % 2 else kronecker(u, p) for v, u in split_units(beta, p, digits))
+
+
 def test_primes_above_examples():
-    kind, fraks = primes_above(5, -1)
-    assert kind == SPLIT
-    assert {f.root % 5 for f in fraks} == {2, 3}
-    assert primes_above(5, -5)[0] == RAMIFIED
-    assert primes_above(3, -1) == (INERT, [])
-    with pytest.raises(TrivialClass):
-        primes_above(5, 1)
+    # sqrt a at the two primes above a split p is the pair of p-adic roots of a
+    if split_units(QuadElt(0, 1, -1), 5) != ((0, 2), (0, 3)):
+        pytest.fail(f"sqrt -1 over 5: {split_units(QuadElt(0, 1, -1), 5)}")
+    if split_units(QuadElt(0, 1, -1), 5, 3) != ((0, 57), (0, 68)):  # 57^2 = -1 mod 125
+        pytest.fail(f"sqrt -1 over 125: {split_units(QuadElt(0, 1, -1), 5, 3)}")
+    if split_units(QuadElt(0, 1, 17), 2, 6) != ((0, 41), (0, 23)):  # 41^2 = 17 mod 64
+        pytest.fail(f"sqrt 17 over 64: {split_units(QuadElt(0, 1, 17), 2, 6)}")
+    for p, a in ((5, -5), (3, -1), (2, 5), (2, -2)):
+        with pytest.raises(InvariantViolated):
+            split_units(QuadElt(0, 1, a), p)
 
 
 def test_primes_above_matches_kronecker():
     for a in (-1, -2, -5, 3, 6, 17, -17, 21):
-        from redei.arith import discriminant
-
         for p in (3, 5, 7, 11, 13, 2):
-            kind, fraks = primes_above(p, a)
-            kappa = kronecker(discriminant(a), p)
-            if kappa == 1:
-                assert kind == SPLIT and len(fraks) == 2
-                r1, r2 = fraks[0].root, fraks[1].root
-                mod = p**fraks[0].precision
-                assert (r1 + r2) % mod == 0
-                for f in fraks:
-                    assert (f.root * f.root - a) % mod == 0
-            elif kappa == -1:
-                assert kind == INERT and fraks == []
-            else:
-                assert kind == RAMIFIED and len(fraks) == 1
+            sqrt_a = QuadElt(0, 1, a)
+            if kronecker(discriminant(a), p) != 1:
+                with pytest.raises(InvariantViolated):
+                    split_units(sqrt_a, p)
+                continue
+            for k in (1, 2, 5):
+                mod = p**k
+                (v1, r1), (v2, r2) = split_units(sqrt_a, p, k)
+                if (v1, v2) != (0, 0) or (r1 + r2) % mod or (r1 * r1 - a) % mod:
+                    pytest.fail(f"sqrt {a} over {p}**{k}: {((v1, r1), (v2, r2))}")
+                if r1 % (4 if p == 2 else p) != ref_root(p, a):
+                    pytest.fail(f"sqrt {a} over {p}**{k}: canonical root {r1}")
 
 
 def test_residue_symbol_examples():
-    frak5 = primes_above(5, -5)[1][0]
-    assert residue_symbol(QuadElt(12, 2, -5), frak5) == -1  # residue 2 mod 5
-    assert residue_symbol(QuadElt(17, 4, -5), frak5) == -1
-    assert residue_symbol(QuadElt(1, 0, -5), frak5) == 1
-
-
-def test_residue_symbol_odd_valuation():
-    frak5 = primes_above(5, -5)[1][0]
-    with pytest.raises(OddValuation):
-        residue_symbol(QuadElt(0, 1, -5), frak5)  # sqrt(-5) is a uniformizer
-
-
-def test_residue_symbol_at_two_is_a_library_error():
-    # a RedeiError, so the CLI maps it to exit 6 rather than a traceback
-    frak2 = primes_above(2, 17)[1][0]
-    with pytest.raises(PartUndefined):
-        residue_symbol(QuadElt(3, 1, 17), frak2)
-
-
-def test_residue_symbol_inert_prime_rejected():
-    from redei.errors import InertPrime
-    from redei.quadfield import INERT
-
-    fake = DegreeOnePrime(3, -1, INERT, 0, 6)
-    with pytest.raises(InertPrime):
-        residue_symbol(QuadElt(1, 1, -1), fake)
+    # over a = -1, p = 5: sqrt -1 is 2 at the canonical prime and 3 at its conjugate
+    beta = QuadElt(1, 1, -1)  # 3 and 4 = -1 mod 5, norm 2
+    if split_units(beta, 5) != ((0, 3), (0, 4)) or _split_pair(beta, 5, 1) != (-1, 1):
+        pytest.fail(f"{beta!r} over 5: {split_units(beta, 5)}")
+    beta = QuadElt(3, 1, -1)  # 5 and 1: norm 10 = 5 * 2 gives the unit 2 / 1
+    if split_units(beta, 5) != ((1, 2), (0, 1)) or _split_pair(beta, 5, 1) != (None, 1):
+        pytest.fail(f"{beta!r} over 5: {split_units(beta, 5)}")
+    beta = QuadElt(12, 2, -1)  # 16 and 8 = 3 mod 5
+    if _split_pair(beta, 5, 1) != (1, -1):
+        pytest.fail(f"{beta!r} over 5: {split_units(beta, 5)}")
+    if _split_pair(QuadElt(1, 0, -1), 5, 1) != (1, 1):
+        pytest.fail(f"1 over 5: {split_units(QuadElt(1, 0, -1), 5)}")
 
 
 def test_residue_symbol_square_invariance():
     rng = random.Random(1)
-    frak = primes_above(13, 3)[1][0]
     for _ in range(60):
         beta = QuadElt(rng.randint(-20, 20), rng.randint(-20, 20), 3)
         s = QuadElt(rng.randint(1, 9), rng.randint(-9, 9), 3)
         if beta.is_zero() or s.norm() == 0 or beta.norm() == 0:
             continue
-        try:
-            lhs = residue_symbol(beta, frak)
-        except OddValuation:
-            continue
-        assert residue_symbol(beta * s * s, frak) == lhs
+        lhs, rhs = _split_pair(beta, 13, 1), _split_pair(beta * s * s, 13, 1)
+        if lhs != rhs:
+            pytest.fail(f"{beta!r} over 13: {lhs}, times the square of {s!r}: {rhs}")
 
 
 def test_residue_symbol_conjugate_product_is_norm_symbol():
@@ -226,16 +227,14 @@ def test_residue_symbol_conjugate_product_is_norm_symbol():
         if a == 1:
             continue
         p = rng.choice((3, 5, 7, 11, 13, 17))
-        kind, fraks = primes_above(p, a)
-        if kind != SPLIT:
+        if kronecker(discriminant(a), p) != 1:
             continue
         beta = QuadElt(rng.randint(-30, 30), rng.randint(-30, 30), a)
-        if beta.is_zero() or beta.norm() == 0 or beta.norm().numerator % p == 0:
+        if beta.is_zero() or beta.norm() == 0 or beta.norm() % p == 0:
             continue
-        lhs = residue_symbol(beta, fraks[0]) * residue_symbol(beta, fraks[1])
-        assert lhs == kronecker(beta.norm().numerator, p) * kronecker(
-            beta.norm().denominator, p
-        )
+        lhs, rhs = _split_pair(beta, p, 1), kronecker(beta.norm(), p)
+        if lhs[0] * lhs[1] != rhs:
+            pytest.fail(f"{beta!r} over {p}: symbols {lhs}, norm symbol {rhs}")
         count += 1
 
 
@@ -373,79 +372,59 @@ def test_is_conductor_two_examples():
 
 
 def test_dyadic_embedding():
-    # a = 17: the mod-64 roots come in the two classes {9, 55}; 7 is a valid
-    # root at precision 32 (49 = 17 + 32) and lies in the class of 55
-    assert (7 * 7 - 17) % 32 == 0
-    _, fraks = primes_above(2, 17)
-    for f in fraks:
-        assert (f.root * f.root - 17) % (1 << f.precision) == 0
-    assert dyadic_embedding(QuadElt(1, 0, 17)) == 1
-    u0 = dyadic_embedding(QuadElt(5, 2, 17), 6)
-    u1 = dyadic_embedding(QuadElt(5, 2, 17), 6, frak=fraks[1])
-    assert u0 % 8 == 7
-    assert u1 % 8 == 3  # the root class containing 7 mod 32, as in 5 + 2*7 = 19
-    with pytest.raises(TwoNotSplit):
-        dyadic_embedding(QuadElt(1, 1, 5))
-    with pytest.raises(OddValuation):
-        dyadic_embedding(QuadElt(4, 2, 17))
+    # a = 17: sqrt 17 is 41 mod 64 at the canonical prime; 5 + 2 sqrt 17 maps to
+    # 87 and 5 - 82 = -77 there and at the conjugate, 7 and 3 mod 8
+    if split_units(QuadElt(1, 0, 17), 2, 6) != ((0, 1), (0, 1)):
+        pytest.fail(f"1 over 17: {split_units(QuadElt(1, 0, 17), 2, 6)}")
+    (v0, u0), (v1, u1) = split_units(QuadElt(5, 2, 17), 2, 6)
+    if (v0, u0 % 8, v1, u1 % 8) != (0, 7, 0, 3):
+        pytest.fail(f"5 + 2 sqrt 17: {((v0, u0), (v1, u1))}")
+    # 4 + 2 sqrt 17 = 2 (2 + sqrt 17) has norm -52 and valuation 1 at each prime
+    if [v for v, _ in split_units(QuadElt(4, 2, 17), 2, 6)] != [1, 1]:
+        pytest.fail(f"4 + 2 sqrt 17: {split_units(QuadElt(4, 2, 17), 2, 6)}")
+    with pytest.raises(InvariantViolated):
+        split_units(QuadElt(1, 1, 5), 2)  # 2 is inert over 5
 
 
 def test_dyadic_embedding_consistency():
-    # u is the image of beta under sqrt(a) -> root, up to even powers of 2
+    # the unit is the image of beta under sqrt(a) -> the 2-adic root, over 2**v
     rng = random.Random(3)
     for a in (17, 33, 41, 73):
-        _, fraks = primes_above(2, a, 12)
+        roots = [ref_lift(2, a, ref_root(2, a, c), 12) for c in (False, True)]
         for _ in range(40):
             beta = QuadElt(rng.randint(-40, 40), rng.randint(-40, 40), a)
             if beta.is_zero() or beta.norm() == 0:
                 continue
-            for frak in fraks:
-                image = beta.x + beta.y * frak.root
-                if image == 0:
+            pair = split_units(beta, 2, 5)
+            for (v, u), root in zip(pair, roots):
+                image = beta.x + beta.y * root
+                if image % 2**12 == 0:
                     continue
-                v = 0
-                img = int(image)
-                while img % 2 == 0:
-                    img //= 2
-                    v += 1
-                if v % 2 or v > 6:
+                w = padic_val(image, 2)
+                if w > 6:
                     continue
-                assert dyadic_embedding(beta, 5, frak=frak) == img % 32
+                if (v, u) != (w, image // 2**w % 32):
+                    pytest.fail(f"{beta!r} over {a}: {(v, u)}, image {image} at root {root}")
 
 
-def ref_lift(frak, precision):
-    """The same split prime with its root mod p**precision, in the same root class."""
-    p = frak.p
-    if precision <= frak.precision:
-        return frak
-    if p == 2:
-        r = quadfield._hensel_sqrt_2(frak.a, precision)
-        if r % 4 != frak.root % 4:
-            r = (1 << precision) - r
-    else:
-        r = quadfield._hensel_sqrt_odd(frak.a, p, precision)
-        if r % p != frak.root % p:
-            r = p**precision - r
-    return DegreeOnePrime(p, frak.a, SPLIT, r, precision)
-
-
-def ref_split_embedding(beta, frak, unit_digits=1):
-    """The lifting embedding: clear p from the coordinate denominators by an even
-    power of p, then double the precision of the root until the valuation of the
-    image x + y*r is resolved.  The valuation is exact for p-integral coordinates
-    and shifted by that even power otherwise; the unit part is a rational."""
-    p = frak.p
+def ref_split_embedding(beta, p, root, precision, unit_digits=1):
+    """The lifting embedding at the prime where sqrt a -> root, a root of a mod
+    p**precision: clear p from the coordinate denominators by an even power of
+    p, then double the precision of the root until the valuation of the image
+    x + y*r is resolved.  The valuation is exact for p-integral coordinates and
+    shifted by that even power otherwise; the unit part is a rational."""
+    a = beta.a
     m = max([0] + [-padic_val(c, p) for c in (beta.x, beta.y) if c != 0])
     if m > 0:
         beta = beta * p ** (2 * ((m + 1) // 2))
-    slack = 1 if p == 2 else 0  # the 2-adic root is one bit short of its precision
     while True:
-        image = beta.x + beta.y * frak.root
+        image = beta.x + beta.y * root
         if image != 0:
             v = padic_val(image, p)
-            if v + unit_digits + slack <= frak.precision:
+            if v + unit_digits <= precision:
                 return v, Fraction(image) / p**v
-        frak = ref_lift(frak, frak.precision * 2)
+        precision *= 2
+        root = ref_lift(p, a, root, precision)
 
 
 _SPLIT_RADICANDS = [a for a in range(-100, 101) if a not in (0, 1) and square_class(a) == a]
@@ -465,7 +444,7 @@ def _frak_side_uniformizer(p, a):
     valuation 0 at its conjugate: r + sqrt a for odd p, (3 + sqrt a)/2 at 2."""
     if p == 2:
         return QuadElt(Fraction(3, 2), Fraction(1, 2), a)
-    return QuadElt(-primes_above(p, a, 1)[1][0].root % p, 1, a)
+    return QuadElt(-ref_root(p, a) % p, 1, a)
 
 
 @settings(derandomize=True, database=None, max_examples=800, deadline=None)
@@ -492,22 +471,21 @@ def test_split_embedding_matches_lifting_reference(
     for _ in range(j):
         beta = beta * g.conjugate()
     if p == 2:
-        precision = max(precision, 3)  # the two root classes differ mod 4
-    else:
-        digits = min(digits, precision)  # the root is read mod p**digits
-    frak = primes_above(p, a, precision)[1][int(conjugate)]
-    v, unit = quadfield._split_embedding(beta, frak, digits)
-    ref_v, ref_unit = ref_split_embedding(beta, frak, digits)
+        precision = max(precision, 2)  # the two root classes differ mod 4
+    root = ref_lift(p, a, ref_root(p, a, conjugate), precision)
+    prime = f"the prime over {p} where sqrt {a} -> {root}"
+    v, unit = split_units(beta, p, digits)[int(conjugate)]
+    ref_v, ref_unit = ref_split_embedding(beta, p, root, precision, digits)
     mod = p**digits
     if type(unit) is not int or not 0 <= unit < mod or unit % p == 0:
-        pytest.fail(f"{beta!r} at {frak}: unit {unit!r} is not a unit residue mod {mod}")
+        pytest.fail(f"{beta!r} at {prime}: unit {unit!r} is not a unit residue mod {mod}")
     if unit != mod_p(ref_unit, mod):
-        pytest.fail(f"{beta!r} at {frak}: unit {unit}, reference {mod_p(ref_unit, mod)}")
+        pytest.fail(f"{beta!r} at {prime}: unit {unit}, reference {mod_p(ref_unit, mod)}")
     if (v - ref_v) % 2:
-        pytest.fail(f"{beta!r} at {frak}: valuation {v}, reference {ref_v}")
+        pytest.fail(f"{beta!r} at {prime}: valuation {v}, reference {ref_v}")
     p_integral = all(padic_val(c, p) >= 0 for c in (beta.x, beta.y) if c != 0)
     if p_integral and v != ref_v:
-        pytest.fail(f"{beta!r} at {frak}: valuation {v}, reference {ref_v}")
+        pytest.fail(f"{beta!r} at {prime}: valuation {v}, reference {ref_v}")
 
 
 def test_two_unit_class_ignores_powers_of_four():
@@ -539,42 +517,38 @@ def test_two_unit_class_ignores_powers_of_four():
 
 
 def test_split_embedding_needs_digits_the_root_has():
-    # a unit part mod p**0 says nothing, and an odd root is read mod p**unit_digits
-    with pytest.raises(InvariantViolated):
-        dyadic_embedding(QuadElt(1, 2, 17), 0)
-    with pytest.raises(InvariantViolated):
-        quadfield._split_embedding(QuadElt(1, 2, -1), primes_above(5, -1, 1)[1][0], 2)
+    # a unit mod p**d reads the root to d digits: mod p**d at odd p, and
+    # mod 2**(d + 2) at 2, where the roots mod 2**(d + 1) agree in pairs;
+    # a unit mod p**0 says nothing
+    for p, a in ((5, -1), (3, 7), (13, 17), (2, 17), (2, -7)):
+        beta = QuadElt(1, 2, a)  # a unit at both primes
+        deep = split_units(beta, p, 8)
+        for d in range(1, 8):
+            found = split_units(beta, p, d)
+            if found != tuple((v, u % p**d) for v, u in deep):
+                pytest.fail(f"{beta!r} over {p}**{d}: {found}, over {p}**8: {deep}")
+        for d in (0, -1):
+            with pytest.raises(InvariantViolated):
+                split_units(beta, p, d)
 
 
 _ONE_MOD_8 = [a for a in _SPLIT_RADICANDS if a % 8 == 1]
 
 
 def test_primes_above_needs_digits_that_tell_the_primes_apart():
-    # at 2 the two roots agree mod 2, and at odd p every root is 0 mod p**0
-    beta = QuadElt(1, 2, 17)
-    if dyadic_embedding(beta, 3, primes_above(2, 17, 6)[1][1]) != 7:
+    # the two dyadic units of 1 + 2 sqrt a, 1 + 2r and 1 - 2r, differ mod 8 but
+    # agree mod 4; each one read mod 2**d is the same 2-adic unit for every d
+    if split_units(QuadElt(1, 2, 17), 2, 3)[1][1] != 7:
         pytest.fail("the conjugate dyadic prime over 17 gives no 7 mod 8 for 1 + 2 sqrt 17")
     for a in _ONE_MOD_8:
         beta = QuadElt(1, 2, a)  # odd norm: a unit at both dyadic primes
-        reference = [dyadic_embedding(beta, 3, f) for f in primes_above(2, a, 6)[1]]
-        for k in range(2, 9):
-            fraks = primes_above(2, a, k)[1]
-            if fraks[0] == fraks[1]:
-                pytest.fail(f"primes_above(2, {a}, {k}) gives {fraks[0]} twice")
-            found = [dyadic_embedding(beta, 3, f) for f in fraks]
-            if found != reference:
-                pytest.fail(f"units of {beta!r} at precision {k}: {found}, at 6: {reference}")
-        for k in (-1, 0, 1):
-            with pytest.raises(InvariantViolated):
-                primes_above(2, a, k)
-    for p, a in ((5, -1), (3, 7), (13, 17)):
-        for k in (1, 2, 3):
-            fraks = primes_above(p, a, k)[1]
-            if fraks[0] == fraks[1]:
-                pytest.fail(f"primes_above({p}, {a}, {k}) gives {fraks[0]} twice")
-        for k in (-1, 0):
-            with pytest.raises(InvariantViolated):
-                primes_above(p, a, k)
+        reference = [u for _, u in split_units(beta, 2, 6)]
+        if reference[0] % 8 == reference[1] % 8:
+            pytest.fail(f"{beta!r}: the units {reference} agree mod 8")
+        for d in range(1, 9):
+            found = [u for _, u in split_units(beta, 2, d)]
+            if [u % 2 ** min(d, 6) for u in found] != [u % 2 ** min(d, 6) for u in reference]:
+                pytest.fail(f"units of {beta!r} mod 2**{d}: {found}, mod 2**6: {reference}")
 
 
 def test_split_units_needs_a_split_prime():
@@ -583,8 +557,10 @@ def test_split_units_needs_a_split_prime():
     for p, a in ((2, 5), (2, -2), (3, -1), (5, -5)):
         with pytest.raises(InvariantViolated):
             split_units(QuadElt(1, 1, a), p)
-    with pytest.raises(InvariantViolated):
-        split_units(QuadElt(1, 1, 17), 2, 0)
+    # and a unit mod p**0, at 2 and at an odd split p
+    for p, a in ((2, 17), (5, -1), (3, 7)):
+        with pytest.raises(InvariantViolated):
+            split_units(QuadElt(1, 1, a), p, 0)
 
 
 def test_dyadic_unit_class_coords_name_the_square_class():
@@ -611,13 +587,22 @@ def test_dyadic_unit_class_coords_name_the_square_class():
                     pytest.fail(f"{scaled!r}: {found}, while {beta!r} gives {base}")
 
 
+def _ref_dyadic_embeddings(elt, unit_digits):
+    """(valuation, unit mod 2**unit_digits) at the canonical dyadic prime and at
+    its conjugate, from the lifting reference; valuations up to an even shift."""
+    a = elt.a
+    out = []
+    for conjugate in (False, True):
+        root = ref_lift(2, a, ref_root(2, a, conjugate), 4)
+        v, u = ref_split_embedding(elt, 2, root, 4, unit_digits)
+        out.append((v, mod_p(u, 2**unit_digits)))
+    return out
+
+
 def ref_unramified_at_two(elt):
     """The per-prime loop: even valuation and unit 1 mod 4 at both dyadic primes."""
-    for frak in primes_above(2, elt.a)[1]:
-        try:
-            if dyadic_embedding(elt, 2, frak) != 1:
-                return False
-        except OddValuation:
+    for v, u in _ref_dyadic_embeddings(elt, 2):
+        if v % 2 or u != 1:
             return False
     return True
 
@@ -626,12 +611,8 @@ def ref_dyadic_units(elt):
     """The signs of the units mod 8 that are 1 mod 4, at the dyadic primes of even
     valuation: the conjugate stands in where the square root ramifies."""
     values = set()
-    for frak in primes_above(2, elt.a)[1]:
-        try:
-            u = dyadic_embedding(elt, 3, frak)
-        except OddValuation:
-            continue
-        if u % 4 == 1:
+    for v, u in _ref_dyadic_embeddings(elt, 3):
+        if v % 2 == 0 and u % 4 == 1:
             values.add(1 if u == 1 else -1)
     return values
 
@@ -659,10 +640,9 @@ def test_split_units_match_the_per_prime_loops(a, x, y, i, j):
     if values != ref:
         pytest.fail(f"{beta!r}: units {values} from {pair}, reference {ref}")
     # the order of the pair: canonical prime first, against the lifting reference
-    for (v, u), frak in zip(pair, primes_above(2, a)[1]):
-        ref_v, ref_u = ref_split_embedding(beta, frak, 3)
-        if (v - ref_v) % 2 or u != mod_p(ref_u, 8):
-            pytest.fail(f"{beta!r} at {frak}: {(v, u)}, reference {(ref_v, ref_u)}")
+    for (v, u), (ref_v, ref_u) in zip(pair, _ref_dyadic_embeddings(beta, 3)):
+        if (v - ref_v) % 2 or u != ref_u:
+            pytest.fail(f"{beta!r}: {pair}, reference {(ref_v, ref_u)} at the same prime")
     # the witness path reads the same set; a stand-in witness carries beta alone
     try:
         found = _dyadic_part(MinRamWitness(a, 0, beta, None, 1, None, ""))[0]

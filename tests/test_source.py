@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+import redei
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "redei"
 
 
@@ -19,3 +21,13 @@ def test_package_has_no_assert():
     ]
     if found:
         pytest.fail(f"assert statements in redei: {found}")
+
+
+def test_exports_resolve():
+    # a deleted name left in __all__ breaks "from redei import *"
+    missing = [name for name in redei.__all__ if not hasattr(redei, name)]
+    if missing:
+        pytest.fail(f"redei.__all__ names what redei lacks: {missing}")
+    twice = sorted({name for name in redei.__all__ if redei.__all__.count(name) > 1})
+    if twice:
+        pytest.fail(f"redei.__all__ lists {twice} more than once")

@@ -11,17 +11,22 @@ from redei.arith import (
     INFINITY,
     discriminant,
     hilbert,
+    kronecker,
     prime_divisors,
     signed_prime_decomposition,
     square_class,
 )
 from redei.conic import enumerate_solutions
 from redei.errors import DegenerateSquareClass, InvalidTriple, PartUndefined, TrivialClass
-from redei.quadfield import QuadElt
+from redei.quadfield import QuadElt, split_units
 from redei.gf2 import in_span
 from redei.symbol import (
+    ODD_ONLY,
+    TWO_MINIMAL,
+    UNRAMIFIED_AT_2,
     TwistingGroup,
     Violation,
+    _ram_case,
     _symbol_from_witness,
     is_valid_triple,
     minimally_ramified_witness,
@@ -265,10 +270,8 @@ def test_choice_independence():
 
 
 def test_side_consistency_for_odd_places():
-    # for odd p | c computable on both sides the A- and B-side symbols agree
-    from redei.quadfield import SPLIT, primes_above, residue_symbol
-    from redei.errors import OddValuation
-
+    # for odd p | c computable on both sides the A- and B-side symbols agree:
+    # the Legendre symbol of the unit at the first prime above p of even valuation
     rng = random.Random(40)
     done = 0
     while done < 30:
@@ -277,24 +280,43 @@ def test_side_consistency_for_odd_places():
             continue
         if not is_valid_triple(a, b, c):
             continue
-        from redei.arith import prime_divisors
-
         w = minimally_ramified_witness(a, b)
         for p in [q for q in prime_divisors(c) if q != 2]:
             values = []
             for elt, radicand in ((w.beta, a), (w.alpha, b)):
-                kind, fraks = primes_above(p, radicand)
-                if kind != SPLIT:
+                if kronecker(discriminant(radicand), p) != 1:
                     continue
-                for frak in fraks:
-                    try:
-                        values.append(residue_symbol(elt, frak))
-                        break
-                    except OddValuation:
-                        continue
+                even = [u for v, u in split_units(elt, p) if v % 2 == 0]
+                if even:
+                    values.append(kronecker(even[0], p))
             if len(values) == 2:
                 assert values[0] == values[1], (a, b, c, p)
                 done += 1
+
+
+def ref_ram_case(a, b):
+    """The ramification case read from the two field discriminants mod 8."""
+    da, db = discriminant(a), discriminant(b)
+    if da % 2 == 1 and db % 2 == 1:
+        return UNRAMIFIED_AT_2, "a"
+    if da % 8 == 1:  # db even
+        return UNRAMIFIED_AT_2, "b"
+    if db % 8 == 1:  # da even
+        return UNRAMIFIED_AT_2, "a"
+    if {da % 8, db % 8} == {4, 5}:
+        return TWO_MINIMAL, "a" if da % 8 == 4 else "b"
+    return ODD_ONLY, None
+
+
+def test_ram_case_matches_reference():
+    vals = squarefree_values(100)
+    for a in vals:
+        for b in vals:
+            if a != b and _ram_case(a, b) != ref_ram_case(a, b):
+                pytest.fail(f"_ram_case({a}, {b}) = {_ram_case(a, b)}, not {ref_ram_case(a, b)}")
+        for pair in ((1, a), (a, 1)):
+            with pytest.raises(TrivialClass):
+                _ram_case(*pair)
 
 
 def _reference_violations(a, b, c):
