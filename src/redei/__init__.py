@@ -12,7 +12,7 @@ from .arith import (
     signed_prime_decomposition,
     square_class,
 )
-from .conic import ConicSolution, enumerate_solutions, is_solvable, solve
+from .conic import ConicSolution, enumerate_solutions, is_solvable, solve, solve_pair
 from .oracle import ClassGroup, FormClass, compose, enumerate_classes, narrow_ranks
 from .quadfield import DyadicUnitClass, QuadElt, dyadic_unit_class, is_conductor_two, split_units
 from .redeimatrix import (
@@ -49,7 +49,7 @@ __all__ = [
     "INFINITY", "SignedPrimeDecomposition", "discriminant", "factor", "hilbert",
     "hilbert_product", "kronecker", "signed_prime_decomposition", "square_class",
     # conic
-    "ConicSolution", "enumerate_solutions", "is_solvable", "solve",
+    "ConicSolution", "enumerate_solutions", "is_solvable", "solve", "solve_pair",
     # oracle
     "ClassGroup", "FormClass", "compose", "enumerate_classes", "narrow_ranks",
     # quadfield

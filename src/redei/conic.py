@@ -2,12 +2,16 @@
 
 ``solve`` returns the lexicographically smallest primitive point (x, y, z) with
 nonnegative entries inside the Holzer box |y| <= isqrt|b|, |z| <= isqrt|a|,
-which holds a point whenever the conic has a rational one.  ``_box_solutions``
-lists every primitive point of a box by one of two exact enumerations, which
-return the same list:
+which holds a point whenever the conic has a rational one.  The box of (b, a)
+is that of (a, b) with y and z swapped, so ``solve_pair`` reads the least
+points of both orders from one search.  ``_box_solutions`` lists the primitive
+points of a box whose x is at most the count-th least x, ties included, by one
+of two exact enumerations, which return the same list:
 
-* the cell loop visits each (y, z) of the box and tests a*y^2 + b*z^2 for a
-  square: O(|box|) work, cheapest on small boxes;
+* the cell scan walks each row z of the box from its first y with
+  t = a*y^2 + b*z^2 >= 0, in the direction where t grows, tests t for a square,
+  and leaves the row once t passes the count-th least x^2 found so far: at most
+  O(|box|) work, cheapest on small boxes;
 * the lattice path (after Cremona and Rusin, "Efficient solution of rational
   conics", Math. Comp. 72 (2003)) uses that a primitive point satisfies, at
   each odd prime p dividing a or b exactly once, a congruence fixed by a square
@@ -15,7 +19,7 @@ return the same list:
   the conic, gives a lattice of index about |ab| with O(1) points in the box.
   A basis reduced under the box-weighted norm and coefficient bounds taken
   exactly from the adjugate find all of them, so reduction quality affects
-  only speed.
+  only speed.  The points past the count-th least x are then dropped.
 
 A box takes the lattice path when it has more than ``LATTICE_CELLS`` cells, the
 measured crossover, unless square factors of a and b leave the lattices more
@@ -25,8 +29,9 @@ candidate points than the box has cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappush, heapreplace
 from itertools import product
-from math import gcd, isqrt, prod
+from math import gcd, inf, isqrt, prod
 
 from .arith import factor, hilbert, hilbert_places, kronecker, sqrt_mod_p
 from .errors import InvariantViolated, NotSolvable, SearchExhausted, ZeroInput
@@ -63,22 +68,51 @@ def is_solvable(a: int, b: int) -> bool:
     return all(hilbert(a, b, v) == 1 for v in hilbert_places(a, b))
 
 
-def _search(a: int, b: int, ybound: int, zbound: int):
+def _least(points, count: int):
+    """The sorted points whose x is at most the count-th least x among them."""
+    if len(points) <= count:
+        return points
+    xmax, end = points[count - 1][0], count
+    while end < len(points) and points[end][0] == xmax:
+        end += 1
+    return points[:end]
+
+
+def _search(a: int, b: int, ybound: int, zbound: int, count: int):
+    """The cell scan: _least(points, count) of the primitive points with
+    0 <= y <= ybound, 0 <= z <= zbound.
+
+    Each row z is walked from its first y with t = a*y^2 + b*z^2 >= 0 in the
+    direction where t grows, and left once t passes the count-th least x^2
+    found so far; a point of equal x^2 is still taken.
+    """
+    if a < 0 and b < 0:
+        return []
     found = []
+    heap = []  # minus the count least x^2 found so far
+    cutoff = inf
     for z in range(zbound + 1):
         bz = b * z * z
-        for y in range(ybound + 1):
+        if a > 0:
+            ys = range(isqrt((-bz - 1) // a) + 1 if bz < 0 else 0, ybound + 1)
+        else:
+            ys = range(min(ybound, isqrt(bz // -a)), -1, -1)
+        for y in ys:
             t = a * y * y + bz
-            if t < 0 or (t == 0 and y == z == 0):
-                continue
+            if t > cutoff:
+                break
             x = isqrt(t)
-            if x * x != t:
-                continue
-            if gcd(gcd(x, y), z) != 1:
+            if x * x != t or gcd(gcd(x, y), z) != 1:
                 continue
             found.append((x, y, z))
+            if len(heap) < count:
+                heappush(heap, -t)
+            elif t < cutoff:
+                heapreplace(heap, -t)
+            if len(heap) == count:
+                cutoff = -heap[0]
     found.sort()
-    return found
+    return _least(found, count)
 
 
 def _congruences(a: int, b: int):
@@ -241,23 +275,24 @@ def _lattice_search(a: int, b: int, bases, ybound: int, zbound: int):
     return sorted(found)
 
 
-def _box_solutions(a: int, b: int, ybound: int, zbound: int):
-    """Sorted primitive points with 0 <= y <= ybound, 0 <= z <= zbound."""
+def _box_solutions(a: int, b: int, ybound: int, zbound: int, count: int):
+    """_least(points, count) of the sorted primitive points with 0 <= y <= ybound,
+    0 <= z <= zbound."""
     cells = (ybound + 1) * (zbound + 1)
     if cells > LATTICE_CELLS:
         bases, candidates = _lattices(a, b, ybound, zbound)
         if candidates <= cells:
-            return _lattice_search(a, b, bases, ybound, zbound)
+            return _least(_lattice_search(a, b, bases, ybound, zbound), count)
         # a large box back on the cell scan reads the local symbols first:
         # an unsolvable conic has no point to scan for
         if not is_solvable(a, b):
             return []
-    return _search(a, b, ybound, zbound)
+    return _search(a, b, ybound, zbound, count)
 
 
-def _holzer_points(a: int, b: int):
-    """(ybound, zbound, points): the Holzer box of (a, b) and its sorted primitive
-    points, which are never empty.
+def _holzer_points(a: int, b: int, count: int):
+    """(ybound, zbound, points): the Holzer box of (a, b) and _least(points, count)
+    of its sorted primitive points, which are never empty.
 
     Holzer's theorem puts a point in the box of every solvable conic, so a point
     found proves solvability; the local symbols are read only for an empty box,
@@ -266,7 +301,7 @@ def _holzer_points(a: int, b: int):
     if a == 0 or b == 0:
         raise ZeroInput("conic coefficients must be nonzero")
     ybound, zbound = isqrt(abs(b)), isqrt(abs(a))
-    found = _box_solutions(a, b, ybound, zbound)
+    found = _box_solutions(a, b, ybound, zbound, count)
     if not found:
         if not is_solvable(a, b):
             raise NotSolvable(f"x^2 - {a}y^2 - {b}z^2 = 0 has no rational point")
@@ -274,23 +309,37 @@ def _holzer_points(a: int, b: int):
     return ybound, zbound, found
 
 
+def solve_pair(a: int, b: int) -> tuple[ConicSolution, ConicSolution]:
+    """(solve(a, b), solve(b, a)) from one search of their shared Holzer box.
+
+    (x, y, z) solves (a, b) iff (x, z, y) solves (b, a), and the box of (b, a)
+    is that of (a, b) with y and z swapped.  Both least points have the least x,
+    and the search keeps every point of least x, ties included, so the least
+    point of (b, a) is the least swapped one among them.
+    """
+    _, _, found = _holzer_points(a, b, 1)
+    x, z, y = min((x, z, y) for x, y, z in found)
+    return ConicSolution(*found[0], a, b), ConicSolution(x, z, y, b, a)
+
+
 def solve(a: int, b: int) -> ConicSolution:
-    """Smallest primitive solution under (|x|, |y|, |z|) with nonnegative entries.
+    """Smallest primitive solution under (|x|, |y|, |z|) with nonnegative entries,
+    from the same search as solve_pair.
 
     The lattices carry no condition at an odd p with p^2 | a or p^2 | b, so
-    such square factors can send a large box back to the O(cells) scan:
-    solve(-1, 5 * 1000003**2) scans about 4.5e6 cells.  That path reads the
-    local symbols first, so an unsolvable conic raises NotSolvable unscanned.
+    such square factors can send a large box back to the cell scan:
+    solve(-1, 5 * 1000003**2) walks about 2.4e5 of its 4.5e6 cells.  That path
+    reads the local symbols first, so an unsolvable conic raises NotSolvable
+    unscanned.
     """
-    _, _, found = _holzer_points(a, b)
-    return ConicSolution(*found[0], a, b)
+    return solve_pair(a, b)[0]
 
 
 def enumerate_solutions(a: int, b: int, count: int) -> list[ConicSolution]:
     """count distinct primitive solutions, no two related by coordinate sign flips."""
-    ybound, zbound, found = _holzer_points(a, b)
+    ybound, zbound, found = _holzer_points(a, b, max(count, 1))
     while len(found) < count:
         ybound = 2 * ybound + 1
         zbound = 2 * zbound + 1
-        found = _box_solutions(a, b, ybound, zbound)
+        found = _box_solutions(a, b, ybound, zbound, count)
     return [ConicSolution(x, y, z, a, b) for x, y, z in found[:count]]

@@ -22,7 +22,7 @@ from .arith import (
     prime_divisors,
     square_class,
 )
-from .conic import ConicSolution, solve
+from .conic import ConicSolution, solve_pair
 from .errors import (
     DegenerateSquareClass,
     InvalidTriple,
@@ -84,12 +84,17 @@ def _fails_at_2(u: _Arg, w: _Arg) -> int:
 
 
 def _fails_at_odd(u: int, w: int, p: int) -> bool:
-    """True iff (u, w)_p = -1, for squarefree u, w and an odd prime p dividing u or w."""
+    """True iff (u, w)_p = -1, for squarefree u, w and an odd prime p dividing u or w.
+
+    The symbol is the Legendre symbol at p of u, of w or of -(u/p)(w/p), which is
+    prime to p, so Euler's criterion decides it."""
     if u % p:
-        return kronecker(u, p) == -1
-    if w % p:
-        return kronecker(w, p) == -1
-    return kronecker(-(u // p) * (w // p), p) == -1
+        n = u
+    elif w % p:
+        n = w
+    else:
+        n = -(u // p) * (w // p)
+    return pow(n, (p - 1) // 2, p) != 1
 
 
 def _shared_primes(a: _Arg, b: _Arg, c: _Arg) -> list[int]:
@@ -255,13 +260,22 @@ def witness_from_solution(a: int, b: int, sol: ConicSolution) -> MinRamWitness:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
+def _pair_witnesses(a: int, b: int) -> tuple[MinRamWitness, MinRamWitness]:
+    """The witnesses of (a, b) and of (b, a), for square classes a < b, each from
+    its own least conic point; one search of the shared Holzer box finds both."""
+    ab, ba = solve_pair(a, b)
+    return witness_from_solution(a, b, ab), witness_from_solution(b, a, ba)
+
+
 def minimally_ramified_witness(a: int, b: int) -> MinRamWitness:
+    """The witness of the square classes of (a, b), from the least conic point;
+    both orders of a pair share one memo entry."""
     a, b = square_class(a), square_class(b)
     if a == 1 or b == 1:
         raise TrivialClass("witness needs nontrivial classes")
     if a == b:
         raise DegenerateSquareClass("ab is a square; no dihedral extension")
-    return witness_from_solution(a, b, solve(a, b))
+    return _pair_witnesses(a, b)[0] if a < b else _pair_witnesses(b, a)[1]
 
 
 def twist_witness(w: MinRamWitness, t: int) -> MinRamWitness:

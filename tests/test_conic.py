@@ -11,17 +11,32 @@ from redei.conic import (
     ConicSolution,
     _lattice_search,
     _lattices,
-    _search,
     enumerate_solutions,
     is_solvable,
     solve,
+    solve_pair,
 )
 from redei.errors import NotSolvable, SearchExhausted, ZeroInput
 
 
 def cell_loop(a, b, ybound, zbound):
-    """The reference enumeration: every primitive point of the box, sorted."""
-    return _search(a, b, ybound, zbound)
+    """The reference enumeration: every primitive point of the box, sorted, from
+    a visit to each of its cells."""
+    found = []
+    for z in range(zbound + 1):
+        bz = b * z * z
+        for y in range(ybound + 1):
+            t = a * y * y + bz
+            if t < 0 or (t == 0 and y == z == 0):
+                continue
+            x = isqrt(t)
+            if x * x != t:
+                continue
+            if gcd(gcd(x, y), z) != 1:
+                continue
+            found.append((x, y, z))
+    found.sort()
+    return found
 
 
 def lattice_path(a, b, ybound, zbound):
@@ -104,6 +119,66 @@ def test_lattice_matches_cell_loop_wider_boxes():
                 assert lattice_path(a, b, *box) == cell_loop(a, b, *box), (a, b, box)
 
 
+def least_points(a, b, ybound, zbound):
+    """The least point of the box of (a, b) and that of (b, a), from the cell loop."""
+    found = cell_loop(a, b, ybound, zbound)
+    swapped = cell_loop(b, a, zbound, ybound)
+    return (found[0], swapped[0]) if found else None
+
+
+def pair_points(a, b):
+    try:
+        ab, ba = solve_pair(a, b)
+    except NotSolvable:
+        return None
+    return (ab.x, ab.y, ab.z), (ba.x, ba.y, ba.z)
+
+
+def test_solve_pair_matches_cell_loop_squarefree():
+    vals = [n for n in range(-200, 201) if n and square_class(n) == n]
+    for a in vals:
+        for b in vals:
+            expected, found = least_points(a, b, *holzer_box(a, b)), pair_points(a, b)
+            if found != expected:
+                pytest.fail(f"solve_pair({a}, {b}) = {found}, not {expected}")
+
+
+def test_solve_pair_ties():
+    # the box holds two points of least x that are not swaps of each other, so
+    # the least point of (b, a) is not the swap of the least point of (a, b)
+    for a, b in ((21, 105), (22, 154), (33, 66), (46, 161), (51, 102)):
+        ab, ba = pair_points(a, b)
+        assert ab[0] == ba[0] and ba != (ab[0], ab[2], ab[1]), (a, b)
+        assert (ab, ba) == least_points(a, b, *holzer_box(a, b)), (a, b)
+
+
+def test_enumerate_solutions_matches_cell_loop():
+    # the boxes widen as in enumerate_solutions; the pruned scan keeps the same
+    # first count points, on the cell scan and past LATTICE_CELLS on the lattices
+    boxes = {}
+
+    def points(a, b, box):
+        if (a, b, box) not in boxes:
+            boxes[a, b, box] = cell_loop(a, b, *box)
+        return boxes[a, b, box]
+
+    for a in range(-40, 41):
+        for b in range(-40, 41):
+            if a == 0 or b == 0:
+                continue
+            for count in (1, 2, 3, 5):
+                box = holzer_box(a, b)
+                if not points(a, b, box):
+                    with pytest.raises(NotSolvable):
+                        enumerate_solutions(a, b, count)
+                    continue
+                while len(points(a, b, box)) < count:
+                    box = (2 * box[0] + 1, 2 * box[1] + 1)
+                found = [(s.x, s.y, s.z) for s in enumerate_solutions(a, b, count)]
+                if found != points(a, b, box)[:count]:
+                    pytest.fail(f"enumerate_solutions({a}, {b}, {count}) = {found}")
+
+
 @st.composite
 def solvable_pairs(draw):
     # squarefree a, b with 1e5 <= |a|, |b| <= 1e7, as the witness construction
@@ -129,6 +204,17 @@ def test_solve_large_boxes(pair):
     assert found[0] == (s.x, s.y, s.z)
     if (ybound + 1) * (zbound + 1) <= 2 * 10**5:
         assert found == cell_loop(a, b, ybound, zbound)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(solvable_pairs())
+def test_solve_pair_large_boxes(pair):
+    # the lattice path: one search gives the least point of each order
+    a, b = pair
+    ybound, zbound = holzer_box(a, b)
+    ab, ba = solve_pair(a, b)
+    assert (ab.x, ab.y, ab.z) == lattice_path(a, b, ybound, zbound)[0]
+    assert (ba.x, ba.y, ba.z) == lattice_path(b, a, zbound, ybound)[0]
 
 
 def test_square_factors_fall_back_to_the_cell_loop():
@@ -210,7 +296,7 @@ def test_zero_coefficients_rejected():
 def test_empty_box_reads_the_local_symbols(monkeypatch):
     # solvability comes from the search; only an empty box consults is_solvable,
     # which tells an unsolvable conic from a search that missed
-    monkeypatch.setattr(conic, "_box_solutions", lambda a, b, ybound, zbound: [])
+    monkeypatch.setattr(conic, "_box_solutions", lambda a, b, ybound, zbound, count: [])
     for find in (solve, lambda a, b: enumerate_solutions(a, b, 2)):
         with pytest.raises(SearchExhausted):
             find(-20, 41)
@@ -221,7 +307,7 @@ def test_empty_box_reads_the_local_symbols(monkeypatch):
 def test_unsolvable_large_box_is_not_scanned(monkeypatch):
     # 3^2 and 100003^2 leave the lattices more candidates than the box's
     # 1e6 cells, so the box goes back to the cell scan, which must not run
-    def no_scan(a, b, ybound, zbound):
+    def no_scan(a, b, ybound, zbound, count):
         pytest.fail(f"scanned the {ybound} x {zbound} box of ({a}, {b})")
 
     monkeypatch.setattr(conic, "_search", no_scan)

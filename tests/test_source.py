@@ -31,3 +31,18 @@ def test_exports_resolve():
     twice = sorted({name for name in redei.__all__ if redei.__all__.count(name) > 1})
     if twice:
         pytest.fail(f"redei.__all__ lists {twice} more than once")
+
+
+def test_symbol_imports_no_private_names():
+    # symbol builds on the public API of conic and quadfield, not on their internals
+    path = PACKAGE / "symbol.py"
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").rpartition(".")[2] in ("conic", "quadfield")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    if private:
+        pytest.fail(f"symbol.py imports private names: {private}")

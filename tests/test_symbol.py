@@ -16,7 +16,7 @@ from redei.arith import (
     signed_prime_decomposition,
     square_class,
 )
-from redei.conic import enumerate_solutions
+from redei.conic import enumerate_solutions, solve
 from redei.errors import DegenerateSquareClass, InvalidTriple, PartUndefined, TrivialClass
 from redei.quadfield import QuadElt, split_units
 from redei.gf2 import in_span
@@ -26,6 +26,8 @@ from redei.symbol import (
     UNRAMIFIED_AT_2,
     TwistingGroup,
     Violation,
+    _fails_at_odd,
+    _pair_witnesses,
     _ram_case,
     _symbol_from_witness,
     is_valid_triple,
@@ -129,6 +131,25 @@ def test_witness_worked_example():
     assert w.beta == QuadElt(12, 2, -5)
     assert square_class(int(w.beta.norm())) == 41
     assert square_class(int(w.alpha.norm())) == -5
+
+
+def test_witness_memo_is_keyed_on_square_classes():
+    # both orders of a pair, and every representative of its classes, share one entry
+    _pair_witnesses.cache_clear()
+    first = minimally_ramified_witness(-20, 41)
+    assert minimally_ramified_witness(-5, 41) == first
+    for a, b in ((41, -5), (41 * 9, -5)):
+        w = minimally_ramified_witness(a, b)
+        assert (w.a, w.b, w.solution.a, w.solution.b) == (41, -5, 41, -5)
+    info = _pair_witnesses.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+def test_witness_orders_have_their_own_least_points():
+    # (33, 66) has two points of least x that are not swaps of each other
+    for a, b in ((-5, 41), (33, 66), (66, 33)):
+        sol = minimally_ramified_witness(a, b).solution
+        assert (sol.a, sol.b) == (a, b) and sol == solve(a, b)
 
 
 def test_witness_norm_classes():
@@ -317,6 +338,25 @@ def test_ram_case_matches_reference():
         for pair in ((1, a), (a, 1)):
             with pytest.raises(TrivialClass):
                 _ram_case(*pair)
+
+
+def ref_fails_at_odd(u, w, p):
+    """(u, w)_p = -1 read from Kronecker symbols, for squarefree u, w and an odd
+    prime p dividing u or w."""
+    if u % p:
+        return kronecker(u, p) == -1
+    if w % p:
+        return kronecker(w, p) == -1
+    return kronecker(-(u // p) * (w // p), p) == -1
+
+
+def test_fails_at_odd_matches_kronecker():
+    vals = squarefree_values(200)
+    for u in vals:
+        for w in vals:
+            for p in prime_divisors(abs(u * w)):
+                if p != 2 and _fails_at_odd(u, w, p) != ref_fails_at_odd(u, w, p):
+                    pytest.fail(f"_fails_at_odd({u}, {w}, {p}) = {_fails_at_odd(u, w, p)}")
 
 
 def _reference_violations(a, b, c):
