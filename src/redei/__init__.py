@@ -14,7 +14,7 @@ from .arith import (
 )
 from .conic import ConicSolution, enumerate_solutions, is_solvable, solve, solve_pair
 from .oracle import ClassGroup, FormClass, compose, enumerate_classes, narrow_ranks
-from .quadfield import DyadicUnitClass, QuadElt, dyadic_unit_class, is_conductor_two, split_units
+from .quadfield import QuadElt, split_units
 from .redeimatrix import (
     RedeiMatrixR4,
     RedeiMatrixR8,
@@ -53,7 +53,7 @@ __all__ = [
     # oracle
     "ClassGroup", "FormClass", "compose", "enumerate_classes", "narrow_ranks",
     # quadfield
-    "DyadicUnitClass", "QuadElt", "dyadic_unit_class", "is_conductor_two", "split_units",
+    "QuadElt", "split_units",
     # redeimatrix
     "RedeiMatrixR4", "RedeiMatrixR8", "SecondKindDecomposition", "build_R4", "build_R8",
     "fundamental_discriminant", "governing_r4_check", "r2", "r4", "r8", "ranks",

@@ -52,8 +52,9 @@ _MR_LIMIT = 3317044064679887385961981
 
 # The one cache policy of the package.  A memo keyed on values that grow with a
 # sweep (an integer, a discriminant, a pair of arguments) is bounded at
-# CACHE_SIZE, so a long sweep runs in bounded memory.  A table keyed on a residue
-# mod 4 or mod 16 stays unbounded: it has at most a handful of entries.
+# CACHE_SIZE, so a long sweep runs in bounded memory.  The one table keyed on
+# residues, quadfield._unit_squares (keyed on a basis mod 4), stays unbounded:
+# it has at most a handful of entries.
 # oracle.enumerate_classes keeps 4 groups, because an entry is a whole class
 # group and the module-level compose needs the group of the D it works on.
 CACHE_SIZE = 4096
@@ -377,13 +378,17 @@ def _int_class(q) -> int:
 
 
 def hilbert(a, b, v) -> int:
-    """Hilbert symbol (a,b)_v: +1 iff x^2 - a y^2 - b z^2 = 0 has a nonzero Q_v-point."""
+    """Hilbert symbol (a,b)_v: +1 iff x^2 - a y^2 - b z^2 = 0 has a nonzero Q_v-point.
+
+    v is INFINITY or a prime; any other v raises InvariantViolated."""
     a, b = _int_class(a), _int_class(b)
     if a == 0 or b == 0:
         raise ZeroInput("Hilbert symbol needs nonzero arguments")
     if v is INFINITY:
         return -1 if a < 0 and b < 0 else 1
     p = int(v)
+    if p != v or p < 2 or factor(p) != [(p, 1)]:
+        raise InvariantViolated(f"{v!r} is not a place of Q")
     alpha = 0
     while a % p == 0:
         a //= p

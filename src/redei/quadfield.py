@@ -1,6 +1,6 @@
 """Exact arithmetic in quadratic fields Q(sqrt(a)): elements, their valuations
-and unit parts at the two primes above a split p, and the dyadic unit-class
-machinery used to normalize ramification.
+and unit parts at the two primes above a split p, and the two dyadic tests
+that pick the minimally ramified twist.
 
 Conventions.  For odd radicands the maximal order Z[(1+sqrt a)/2] is used where
 2-splitting matters; for even discriminants everything happens in Z[sqrt a].
@@ -16,6 +16,11 @@ mod p^d reads the root mod p^d, a Hensel lift computed on each call, and at
 p = 2 mod 2^(d+1), which fixes (1 + sqrt a)/2 mod 2^d.  Which prime above p a
 local part is read at is decided from that pair.
 
+Where 2 is inert or ramified, both dyadic tests divide beta by squares of K*
+down to a 2-unit of O and read that unit's class: unramified_at_two asks
+whether it is a square mod 4O, looked up in the one table _unit_squares, and
+conductor_two_at_two whether it is +-1 mod 2O.
+
 Element coordinates have one normal form: an int when the coordinate is
 integral and a Fraction otherwise.  The conic witnesses t(x + y sqrt a) and
 nearly everything derived from them are integral, so they run on ints; a
@@ -24,7 +29,6 @@ division yields a Fraction only when it is inexact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -203,7 +207,7 @@ def split_units(
 
 
 # ---------------------------------------------------------------------------
-# dyadic machinery
+# the dyadic tests used to pick the minimally ramified twist
 # ---------------------------------------------------------------------------
 
 
@@ -213,46 +217,16 @@ def _theta_coords(beta: QuadElt) -> tuple[int | Fraction, int | Fraction]:
 
 
 @lru_cache(maxsize=None)
-def _sqrt_ring_squares(a_mod4: int) -> frozenset:
-    """Squares of the unit group of Z[sqrt a]/4 (a with even discriminant)."""
-    units, squares = [], set()
-    for x in range(4):
-        for y in range(4):
-            if (x * x - a_mod4 * y * y) % 2:
-                units.append((x, y))
-    for x, y in units:
-        squares.add(((x * x + a_mod4 * y * y) % 4, (2 * x * y) % 4))
-    return frozenset(squares)
-
-
-@lru_cache(maxsize=None)
-def _max_order_squares(a_mod16: int) -> frozenset:
-    """Squares of the unit group of Z[theta]/4, theta^2 = theta + (a-1)/4 (a odd)."""
-    c = ((a_mod16 - 1) // 4) % 4
+def _unit_squares(e: int, f: int) -> frozenset:
+    """Squares of (O/4O)* in the basis 1, t with t^2 = e*t + f, for f taken mod 4."""
     squares = set()
     for p in range(4):
         for q in range(4):
-            n = p * p + p * q - q * q * c
-            if n % 2:
-                # (p + q theta)^2 = p^2 + q^2 c + (2pq + q^2) theta
-                squares.add(((p * p + q * q * c) % 4, (2 * p * q + q * q) % 4))
+            # p + q t is a unit iff its norm p^2 + e p q - f q^2 is odd, and
+            # (p + q t)^2 = p^2 + f q^2 + (2 p q + e q^2) t
+            if (p * p + e * p * q - f * q * q) % 2:
+                squares.add(((p * p + f * q * q) % 4, (2 * p * q + e * q * q) % 4))
     return frozenset(squares)
-
-
-@dataclass(frozen=True)
-class DyadicUnitClass:
-    """Square class of a 2-unit mod 4O with its square-membership flag.
-
-    ring is "sqrt" (Z[sqrt a], even discriminant) or "maximal" (Z[theta], odd a);
-    coords are the mod-4 coordinates, in the respective basis, of the least
-    member of the class's coset of unit squares, so that they depend only on
-    the square class.
-    """
-
-    a: int
-    ring: str
-    coords: tuple[int, int]
-    is_square: bool
 
 
 def _reduce_two_unit(beta: QuadElt) -> QuadElt:
@@ -288,38 +262,6 @@ def _reduce_two_unit(beta: QuadElt) -> QuadElt:
     return beta
 
 
-def dyadic_unit_class(beta: QuadElt) -> DyadicUnitClass:
-    """Class of beta (a 2-unit up to squares of K_a*; reduced here) in (O/4O)* / squares."""
-    beta = _reduce_two_unit(beta)
-    a = beta.a
-    # in the basis 1, t with t^2 = e*t + f: t = sqrt a, or theta when a is odd
-    if discriminant(a) % 2 == 0:
-        ring, (x, y), e, f, squares = "sqrt", (beta.x, beta.y), 0, a, _sqrt_ring_squares(a % 4)
-    else:
-        ring, (x, y), e, f = "maximal", _theta_coords(beta), 1, (a - 1) // 4
-        squares = _max_order_squares(a % 16)
-    x, y = mod_p(x, 4), mod_p(y, 4)
-    # the least member of the coset (x, y) * squares, which is the same for every
-    # representative of the square class
-    coords = min(((x * g + f * y * h) % 4, (x * h + y * g + e * y * h) % 4) for g, h in squares)
-    return DyadicUnitClass(a, ring, coords, (x, y) in squares)
-
-
-def is_conductor_two(beta: QuadElt) -> bool:
-    """True iff some +-beta*s^2 lies in 1 + 2O, for a = 3 mod 4 (discriminant 4 mod 8)."""
-    a = beta.a
-    if a % 4 != 3:
-        raise WrongDiscriminantClass(f"conductor-2 test needs a = 3 mod 4, got {a}")
-    beta = _reduce_two_unit(beta)
-    # (O/2O)* = {1, sqrt a}; squares and signs land on 1, so test the raw class
-    return mod_p(beta.x, 2) == 1 and mod_p(beta.y, 2) == 0
-
-
-# ---------------------------------------------------------------------------
-# ramification tests used to pick the minimally ramified twist
-# ---------------------------------------------------------------------------
-
-
 def unramified_at_two(elt: QuadElt) -> bool:
     """Does E(sqrt elt) stay unramified over 2, for elt over Q(sqrt s), other radicand odd?"""
     s = elt.a
@@ -327,13 +269,27 @@ def unramified_at_two(elt: QuadElt) -> bool:
         # even valuation and unit = 1 mod 4 at both dyadic primes
         return all(v % 2 == 0 and u == 1 for v, u in split_units(elt, 2, 2))
     try:
-        return dyadic_unit_class(elt).is_square
+        beta = _reduce_two_unit(elt)
     except NotTwoUnit:
         return False
+    # is the reduced 2-unit a square mod 4O?  In the basis 1, t with
+    # t^2 = e*t + f: t = sqrt s, or theta when s is odd
+    if discriminant(s) % 2:
+        (x, y), e, f = _theta_coords(beta), 1, (s - 1) // 4
+    else:
+        (x, y), e, f = (beta.x, beta.y), 0, s
+    return (mod_p(x, 4), mod_p(y, 4)) in _unit_squares(e, f % 4)
 
 
 def conductor_two_at_two(elt: QuadElt) -> bool:
+    """True iff some +-elt*s^2 lies in 1 + 2O, for elt over Q(sqrt a), a = 3 mod 4
+    (discriminant 4 mod 8)."""
+    a = elt.a
+    if a % 4 != 3:
+        raise WrongDiscriminantClass(f"conductor-2 test needs a = 3 mod 4, got {a}")
     try:
-        return is_conductor_two(elt)
+        beta = _reduce_two_unit(elt)
     except NotTwoUnit:
         return False
+    # (O/2O)* = {1, sqrt a}; squares and signs land on 1, so test the raw class
+    return mod_p(beta.x, 2) == 1 and mod_p(beta.y, 2) == 0

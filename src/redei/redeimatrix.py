@@ -179,7 +179,7 @@ def build_R8(D: int) -> RedeiMatrixR8:
         decs.append(SecondKindDecomposition(d1, d2))
         bits = 0
         for j, m in enumerate(cols):
-            sym = redei_symbol(square_class(d1), square_class(d2), m).value
+            sym = redei_symbol(d1, d2, m).value
             if sym == -1:
                 bits |= 1 << j
         rows.append(bits)

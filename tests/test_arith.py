@@ -23,6 +23,7 @@ from redei.arith import (
 )
 from redei.errors import (
     FactorLimitExceeded,
+    InvariantViolated,
     NotFundamental,
     TrivialClass,
     ZeroInput,
@@ -162,6 +163,16 @@ def test_hilbert_examples():
     assert hilbert_places(Fraction(-20), 41) == hilbert_places(-20, 41)
 
 
+def test_hilbert_rejects_a_v_that_is_not_a_place():
+    # the valuation loop never ends at v = 1 and divides by zero at v = 0, and a
+    # composite or negative v is no place of Q either
+    for v in (0, 1, 4, -3):
+        with pytest.raises(InvariantViolated):
+            hilbert(3, 5, v)
+    if hilbert(3, 5, 5) != -1 or hilbert(3, 5, 1000003) != 1:
+        pytest.fail("the Hilbert symbol at a prime changed")
+
+
 def test_hilbert_minus1_minus1_mod8_oracle():
     # no primitive x^2 + y^2 + z^2 = 0 mod 8
     sols = [
@@ -227,11 +238,10 @@ def test_product_formula():
 
 
 def test_one_cache_policy():
-    # every memo is bounded at CACHE_SIZE, except the residue tables (at most a
+    # every memo is bounded at CACHE_SIZE, except the residue table (at most a
     # handful of entries), the class groups and the CLI parser
     exceptions = {
-        "redei.quadfield._sqrt_ring_squares": None,
-        "redei.quadfield._max_order_squares": None,
+        "redei.quadfield._unit_squares": None,
         "redei.oracle.enumerate_classes": 4,
         "redei.cli._parser": 1,
     }

@@ -13,13 +13,7 @@ from redei.errors import (
     WrongDiscriminantClass,
 )
 from redei import quadfield
-from redei.quadfield import (
-    QuadElt,
-    dyadic_unit_class,
-    is_conductor_two,
-    split_units,
-    unramified_at_two,
-)
+from redei.quadfield import QuadElt, conductor_two_at_two, split_units, unramified_at_two
 from redei.symbol import MinRamWitness, _dyadic_part
 
 
@@ -238,31 +232,62 @@ def test_residue_symbol_conjugate_product_is_norm_symbol():
         count += 1
 
 
+def _basis(a):
+    """(t, coords): t = theta = (1 + sqrt a)/2 for an odd discriminant, else
+    sqrt a, and the map from an element to its coordinates in the basis 1, t."""
+    if discriminant(a) % 2:
+        return QuadElt(Fraction(1, 2), Fraction(1, 2), a), lambda b: (b.x - b.y, 2 * b.y)
+    return QuadElt(0, 1, a), lambda b: (b.x, b.y)
+
+
+def _congruent(beta, gamma, m):
+    """beta = gamma mod mO, for elements with 2-integral coordinates and m = 2 or 4."""
+    coords = _basis(beta.a)[1]
+    return all(mod_p(c, m) == 0 for c in coords(beta - gamma))
+
+
+def _is_unit_square_mod_4(unit):
+    """Is the 2-unit a square mod 4O?  A search over gamma = p + q t mod 4,
+    squared by QuadElt multiplication."""
+    t = _basis(unit.a)[0]
+    return any(
+        _congruent(unit, (t * q + p) * (t * q + p), 4) for p in range(4) for q in range(4)
+    )
+
+
+def _square_quotient(beta, other):
+    """Is the quotient of the reduced 2-units of beta and other a unit square mod 4O?"""
+    reduce = quadfield._reduce_two_unit
+    return _is_unit_square_mod_4(reduce(beta) / reduce(other))
+
+
 def test_dyadic_unit_class_examples():
-    cls = dyadic_unit_class(QuadElt(1, 0, -5))
-    assert cls.is_square
+    assert unramified_at_two(QuadElt(1, 0, -5))
     # tau = (1+a)/2 + sqrt a has square -1 mod 4O: order 4, not itself a square
     tau = QuadElt(-2, 1, -5)
     sq = tau * tau
     assert (sq.x + 1) % 4 == 0 and sq.y % 4 == 0
-    assert not dyadic_unit_class(tau).is_square
+    assert not unramified_at_two(tau)
+    assert not _is_unit_square_mod_4(tau)
     # delta = 12 + 2 sqrt(-5) = (1 + sqrt -5)^2 mod 4, so its reduced class is a square
     delta = QuadElt(12, 2, -5)
     w = QuadElt(1, 1, -5)
     diff = delta - w * w
     assert diff.x % 4 == 0 and diff.y % 4 == 0
-    assert dyadic_unit_class(delta).is_square
+    assert unramified_at_two(delta)
+    assert _is_unit_square_mod_4(quadfield._reduce_two_unit(delta))
 
 
 def test_dyadic_unit_class_rejects_non_units():
     with pytest.raises(NotTwoUnit):
-        dyadic_unit_class(QuadElt(0, 1, 2))  # sqrt 2 has odd valuation
+        quadfield._reduce_two_unit(QuadElt(0, 1, 2))  # sqrt 2 has odd valuation
+    assert unramified_at_two(QuadElt(0, 1, 2)) is False
 
 
 def test_square_subgroup_sizes():
     # |(O/4O)*| = 8 with squares of order 2 when the discriminant is even;
     # order 4 (split) or 12 (inert) with squares of index 4 when odd
-    from redei.quadfield import _max_order_squares, _sqrt_ring_squares
+    from redei.quadfield import _unit_squares
 
     def max_order_units(a):
         # p + q theta is a unit mod 4O iff its norm p^2 + pq - q^2 c is odd
@@ -270,13 +295,13 @@ def test_square_subgroup_sizes():
         return [(p, q) for p in range(4) for q in range(4) if (p * p + p * q - q * q * c) % 2]
 
     for a in (-5, -1, 2, -2, 3, 6):
-        assert len(_sqrt_ring_squares(a % 4)) == 2
+        assert len(_unit_squares(0, a % 4)) == 2
     for a in (17, 73, -31):  # 1 mod 8
         assert len(max_order_units(a)) == 4
-        assert len(_max_order_squares(a % 16)) == 1
+        assert len(_unit_squares(1, ((a - 1) // 4) % 4)) == 1
     for a in (5, 13, -3):  # 5 mod 8
         assert len(max_order_units(a)) == 12
-        assert len(_max_order_squares(a % 16)) == 3
+        assert len(_unit_squares(1, ((a - 1) // 4) % 4)) == 3
 
 
 def test_squares_and_minus_one_generate_norm_kernel():
@@ -347,28 +372,84 @@ def test_reduce_two_unit_matches_reference(x, y, a, k, dx, dy):
         if (ref is NotTwoUnit) != (found is NotTwoUnit):
             pytest.fail(f"{beta!r}: reduced to {found!r}, reference {ref!r}")
         if ref is NotTwoUnit:
-            if _outcome(dyadic_unit_class, beta) is not NotTwoUnit:
-                pytest.fail(f"dyadic_unit_class accepts {beta!r}")
-            if a % 4 == 3 and _outcome(is_conductor_two, beta) is not NotTwoUnit:
-                pytest.fail(f"is_conductor_two accepts {beta!r}")
+            if unramified_at_two(beta) is not False:
+                pytest.fail(f"unramified_at_two accepts {beta!r}")
+            if a % 4 == 3 and conductor_two_at_two(beta) is not False:
+                pytest.fail(f"conductor_two_at_two accepts {beta!r}")
             continue
         if type(beta.x) is int and type(beta.y) is int:
             if not (type(found.x) is int and type(found.y) is int):
                 pytest.fail(f"integral {beta!r} reduced to {found!r}")
-        # the reference is a 2-unit already, so its class is read without a step
-        if dyadic_unit_class(beta) != dyadic_unit_class(ref):
-            pytest.fail(f"class of {beta!r}: {dyadic_unit_class(beta)}, reference {ref!r}")
-        if a % 4 == 3 and is_conductor_two(beta) != is_conductor_two(ref):
+        # the reference is a 2-unit already, so it is its own reduced unit
+        if not _is_unit_square_mod_4(found / ref):
+            pytest.fail(f"{beta!r} reduced to {found!r}, reference {ref!r}: not a square apart")
+        if unramified_at_two(beta) != unramified_at_two(ref):
+            pytest.fail(f"unramified test of {beta!r} disagrees with reference {ref!r}")
+        if a % 4 == 3 and conductor_two_at_two(beta) != conductor_two_at_two(ref):
             pytest.fail(f"conductor-2 test of {beta!r} disagrees with reference {ref!r}")
 
 
+def _ref_two_unit(beta):
+    """An integral beta times a square of K*, reduced to a 2-unit of O, or
+    NotTwoUnit; for a = 2, 3 mod 4 (2 ramified) or a = 5 mod 8 (2 inert)."""
+    if beta.a % 4 != 1:
+        return ref_reduce_two_unit(beta)
+    # 2 is its own uniformizer: divide by 4 while beta / 4 stays integral
+    while padic_val(beta.norm(), 2) >= 4:
+        beta = beta / 4
+    if padic_val(beta.norm(), 2):
+        raise NotTwoUnit("odd dyadic valuation at the inert prime")
+    return beta
+
+
+# squarefree radicands 5 mod 8, where 2 is inert
+_inert_at_two = st.sampled_from((-19, -11, -3, 5, 13, 21, 29, 37))
+
+
+@settings(derandomize=True, database=None, max_examples=800, deadline=None)
+@given(
+    st.integers(-200, 200), st.integers(-200, 200), st.one_of(_even_disc, _inert_at_two),
+    st.integers(0, 5), st.sampled_from((1, 2, 3, 4, 5, 8, 12, 15)),
+)
+def test_dyadic_predicates_match_a_square_search(x, y, a, k, d):
+    # beta = (x + y sqrt a) * pi**k / d for pi = sqrt a, 1 + sqrt a or 2; the
+    # verdicts are checked against squares gamma^2 of gamma = p + q t mod 4,
+    # found by QuadElt multiplication, and not against the library's table
+    if x == 0 and y == 0:
+        return
+    pi = QuadElt(0, 1, a) if a % 4 == 2 else QuadElt(1, 1, a) if a % 4 == 3 else QuadElt(2, 0, a)
+    base = QuadElt(x, y, a)
+    for _ in range(k):
+        base = base * pi
+    beta = base / d
+    try:
+        # beta / d = beta * d / d^2, so the integral beta * d has the class of beta
+        unit = _ref_two_unit(base * d)
+    except NotTwoUnit:
+        unit = None
+    want = unit is not None and _is_unit_square_mod_4(unit)
+    if unramified_at_two(beta) != want:
+        pytest.fail(f"unramified_at_two({beta!r}) is {not want}, reduced unit {unit!r}")
+    if a % 4 != 3:
+        with pytest.raises(WrongDiscriminantClass):
+            conductor_two_at_two(beta)
+        return
+    t = _basis(a)[0]
+    want = unit is not None and any(
+        _congruent(unit, (t * q + p) * (t * q + p) * sign, 2)
+        for p in range(2) for q in range(2) for sign in (1, -1)
+    )
+    if conductor_two_at_two(beta) != want:
+        pytest.fail(f"conductor_two_at_two({beta!r}) is {not want}, reduced unit {unit!r}")
+
+
 def test_is_conductor_two_examples():
-    assert is_conductor_two(QuadElt(-1, 2, -1))  # -1 + 2i over a = -1
-    assert is_conductor_two(QuadElt(3, 2, -5))
+    assert conductor_two_at_two(QuadElt(-1, 2, -1))  # -1 + 2i over a = -1
+    assert conductor_two_at_two(QuadElt(3, 2, -5))
     tau = QuadElt(-2, 1, -5)
-    assert not is_conductor_two(tau * QuadElt(3, 2, -5))
+    assert not conductor_two_at_two(tau * QuadElt(3, 2, -5))
     with pytest.raises(WrongDiscriminantClass):
-        is_conductor_two(QuadElt(1, 2, 5))
+        conductor_two_at_two(QuadElt(1, 2, 5))
 
 
 def test_dyadic_embedding():
@@ -491,9 +572,9 @@ def test_split_embedding_matches_lifting_reference(
 def test_two_unit_class_ignores_powers_of_four():
     # 2 in a coordinate denominator is cleared by an even power of 2
     for a in (-5, 17):
-        cls = dyadic_unit_class(QuadElt(Fraction(1, 4), 0, a))
-        if cls != dyadic_unit_class(QuadElt(1, 0, a)) or not cls.is_square:
-            pytest.fail(f"class of 1/4 over {a}: {cls}")
+        quarter, one = QuadElt(Fraction(1, 4), 0, a), QuadElt(1, 0, a)
+        if not _square_quotient(quarter, one) or not unramified_at_two(quarter):
+            pytest.fail(f"1/4 over {a}: reduced to {quadfield._reduce_two_unit(quarter)!r}")
     rng = random.Random(4)
     radicands = (-14, -10, -7, -6, -5, -3, -2, -1, 2, 3, 5, 6, 7, 10, 11, 13, 17, 33, 41)
     for _ in range(400):
@@ -502,17 +583,20 @@ def test_two_unit_class_ignores_powers_of_four():
         if beta.is_zero():
             continue
         beta = beta / rng.choice((1, 3, 5))
-        base = _outcome(dyadic_unit_class, beta)
-        base_c2 = _outcome(is_conductor_two, beta) if a % 4 == 3 else None
+        base = _outcome(quadfield._reduce_two_unit, beta)
+        base_verdict = unramified_at_two(beta)
+        base_c2 = conductor_two_at_two(beta) if a % 4 == 3 else None
         for k in range(-3, 4):
             scaled = beta * Fraction(4) ** k
-            found = _outcome(dyadic_unit_class, scaled)
-            # the class mod 4O may change by the unit square -1; its square verdict may not
+            found = _outcome(quadfield._reduce_two_unit, scaled)
+            # the reduced unit mod 4O may change by the unit square -1; its square class may not
             if (found is NotTwoUnit) != (base is NotTwoUnit) or (
-                base is not NotTwoUnit and found.is_square != base.is_square
+                base is not NotTwoUnit and not _is_unit_square_mod_4(found / base)
             ):
-                pytest.fail(f"{scaled!r}: {found}, while {beta!r} gives {base}")
-            if a % 4 == 3 and _outcome(is_conductor_two, scaled) != base_c2:
+                pytest.fail(f"{scaled!r} reduced to {found!r}, while {beta!r} gives {base!r}")
+            if unramified_at_two(scaled) != base_verdict:
+                pytest.fail(f"unramified test of {scaled!r} differs from {beta!r}")
+            if a % 4 == 3 and conductor_two_at_two(scaled) != base_c2:
                 pytest.fail(f"conductor-2 test of {scaled!r} differs from {beta!r}")
 
 
@@ -566,25 +650,25 @@ def test_split_units_needs_a_split_prime():
 def test_dyadic_unit_class_coords_name_the_square_class():
     # 4 beta = beta * u^2 with u^2 = -1 mod 4O when a = 3 mod 4
     for a in (-5, -1, 7):
-        coords = {dyadic_unit_class(QuadElt(1, 2, a) * 4**k).coords for k in range(3)}
-        if len(coords) != 1:
-            pytest.fail(f"1 + 2 sqrt {a} times powers of 4: coords {coords}")
+        beta = QuadElt(1, 2, a)
+        for k in range(1, 3):
+            if not _square_quotient(beta * 4**k, beta):
+                pytest.fail(f"1 + 2 sqrt {a} times 4**{k} leaves its square class")
     rng = random.Random(5)
     radicands = (-14, -10, -7, -6, -5, -3, -2, -1, 2, 3, 5, 6, 7, 10, 11, 13, 17, 33, 41)
     for _ in range(400):
         a = rng.choice(radicands)
         beta = QuadElt(rng.randint(-40, 40), rng.randint(-40, 40), a) / rng.choice((1, 3, 5))
-        base = _outcome(dyadic_unit_class, beta)
-        if base is NotTwoUnit:
+        if _outcome(quadfield._reduce_two_unit, beta) is NotTwoUnit:
             continue
+        base_verdict = unramified_at_two(beta)
         s = QuadElt(rng.randint(-9, 9), rng.randint(-9, 9), a)
         if s.norm() % 2 == 0:
             s = QuadElt(1, 0, a)  # the square of s must be a 2-unit
         for k in range(-3, 4):
             for scaled in (beta * Fraction(4) ** k, beta * s * s * Fraction(4) ** k):
-                found = dyadic_unit_class(scaled)
-                if found.coords != base.coords or found.is_square != base.is_square:
-                    pytest.fail(f"{scaled!r}: {found}, while {beta!r} gives {base}")
+                if not _square_quotient(scaled, beta) or unramified_at_two(scaled) != base_verdict:
+                    pytest.fail(f"{scaled!r} leaves the square class of {beta!r}")
 
 
 def _ref_dyadic_embeddings(elt, unit_digits):
