@@ -41,6 +41,7 @@ from .symbol import (
     twisting_group,
     validate_triple,
     verify_reciprocity,
+    verify_twist_independence,
     witness_from_solution,
 )
 
@@ -61,5 +62,6 @@ __all__ = [
     # symbol
     "MinRamWitness", "ReciprocityReport", "SymbolTrace", "TwistingGroup",
     "minimally_ramified_witness", "p_part", "redei_symbol", "twist_witness",
-    "twisting_group", "validate_triple", "verify_reciprocity", "witness_from_solution",
+    "twisting_group", "validate_triple", "verify_reciprocity", "verify_twist_independence",
+    "witness_from_solution",
 ]

@@ -7,7 +7,7 @@ always its canonical representative, a nonzero squarefree integer.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -31,6 +31,10 @@ class _Infinity:
 
     def __repr__(self):
         return "infinity"
+
+    def __reduce__(self):
+        # unpickles as the module's one instance, so "v is INFINITY" still holds
+        return "INFINITY"
 
 
 INFINITY = _Infinity()
@@ -304,12 +308,13 @@ def is_fundamental_discriminant(D: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class SignedPrimeDecomposition:
-    """D = two_part * prod(odd_parts), every odd part p* = (-1)^((p-1)/2) p."""
+class SignedPrimeDecomposition(namedtuple("SignedPrimeDecomposition", "odd_parts two_part")):
+    """D = two_part * prod(odd_parts), every odd part p* = (-1)^((p-1)/2) p.
 
-    odd_parts: tuple[int, ...]  # sorted by the underlying prime
-    two_part: int  # in {1, -4, 8, -8}
+    odd_parts is sorted by the underlying prime; two_part is 1, -4, 8 or -8.
+    """
+
+    __slots__ = ()
 
     @property
     def parts(self) -> tuple[int, ...]:

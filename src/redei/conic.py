@@ -28,7 +28,7 @@ candidate points than the box has cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from heapq import heappush, heapreplace
 from itertools import product
 from math import gcd, inf, isqrt, prod
@@ -44,21 +44,20 @@ LATTICE_CELLS = 1_500
 _LLL_STEPS = 200
 
 
-@dataclass(frozen=True)
-class ConicSolution:
-    x: int
-    y: int
-    z: int
-    a: int
-    b: int
+class ConicSolution(namedtuple("ConicSolution", "x y z a b")):
+    """A primitive point (x, y, z) of x^2 - a*y^2 - b*z^2 = 0, checked when built."""
 
-    def __post_init__(self):
-        if self.x == self.y == self.z == 0:
+    __slots__ = ()
+
+    def __new__(cls, x, y, z, a, b):
+        self = super().__new__(cls, x, y, z, a, b)
+        if x == y == z == 0:
             raise ZeroInput("the zero triple is not a solution")
-        if self.x**2 - self.a * self.y**2 - self.b * self.z**2 != 0:
+        if x**2 - a * y**2 - b * z**2 != 0:
             raise InvariantViolated(f"{self} is not on the conic")
-        if gcd(gcd(self.x, self.y), self.z) != 1:
+        if gcd(gcd(x, y), z) != 1:
             raise InvariantViolated(f"{self} is not primitive")
+        return self
 
 
 def is_solvable(a: int, b: int) -> bool:

@@ -31,7 +31,7 @@ and D > 0 adds one walk of each reduction cycle.  At the default bound
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import compress
 from math import isqrt
@@ -42,14 +42,10 @@ from .errors import BoundExceeded, DiscriminantMismatch, InvariantViolated, NotF
 DEFAULT_ORACLE_BOUND = 10**6
 
 
-@dataclass(frozen=True)
-class FormClass:
-    """A narrow ideal class, held as its canonical reduced form (A, B, C)."""
+class FormClass(namedtuple("FormClass", "A B C D")):
+    """A narrow ideal class of discriminant D, held as its canonical reduced form (A, B, C)."""
 
-    A: int
-    B: int
-    C: int
-    D: int
+    __slots__ = ()
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

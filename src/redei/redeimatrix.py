@@ -8,7 +8,7 @@ r4+1 kernel columns; the rank formula already accounts for the dependency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import isqrt
 
@@ -39,12 +39,11 @@ def r2(D: int) -> int:
     return signed_prime_decomposition(D).t - 1
 
 
-@dataclass(frozen=True)
-class RedeiMatrixR4:
-    D: int
-    row_labels: tuple[int, ...]  # signed prime discriminants
-    col_labels: tuple[int, ...]  # ramified primes
-    rows: tuple[int, ...]  # bitmask rows
+class RedeiMatrixR4(namedtuple("RedeiMatrixR4", "D row_labels col_labels rows")):
+    """The 4-rank matrix of D: rows labelled by the signed prime discriminants,
+    columns by the ramified primes, each row a bitmask."""
+
+    __slots__ = ()
 
     @property
     def t(self) -> int:
@@ -90,10 +89,8 @@ def r4(D: int) -> int:
     return r2(D) - m.rank()
 
 
-@dataclass(frozen=True)
-class SecondKindDecomposition:
-    d1: int
-    d2: int
+class SecondKindDecomposition(namedtuple("SecondKindDecomposition", "d1 d2")):
+    __slots__ = ()
 
 
 def _is_second_kind(D: int, d1: int) -> bool:
@@ -124,12 +121,11 @@ def second_kind_decompositions(D: int) -> list[SecondKindDecomposition]:
     return out
 
 
-@dataclass(frozen=True)
-class RedeiMatrixR8:
-    D: int
-    row_labels: tuple[SecondKindDecomposition, ...]
-    col_labels: tuple[int, ...]  # squarefree divisors m | D
-    rows: tuple[int, ...]
+class RedeiMatrixR8(namedtuple("RedeiMatrixR8", "D row_labels col_labels rows")):
+    """The 8-rank matrix of D: rows labelled by second-kind decompositions,
+    columns by squarefree divisors m | D, each row a bitmask."""
+
+    __slots__ = ()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -199,12 +195,10 @@ def ranks(d: int) -> tuple[int, int, int]:
     return r2(D), r4(D), r8(D)
 
 
-@dataclass(frozen=True)
-class GoverningReport:
-    d: int
-    bound: int
-    classes: dict  # signature -> sorted list of (p, r4)
-    violations: list
+class GoverningReport(namedtuple("GoverningReport", "d bound classes violations")):
+    """classes maps each signature to its sorted list of (p, r4)."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -11,7 +11,7 @@ where ramification over 2 cannot be avoided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -22,7 +22,7 @@ from .arith import (
     prime_divisors,
     square_class,
 )
-from .conic import ConicSolution, solve_pair
+from .conic import ConicSolution, enumerate_solutions, solve_pair
 from .errors import (
     DegenerateSquareClass,
     InvalidTriple,
@@ -41,12 +41,11 @@ TWO_MINIMAL = "two_minimal"
 ODD_ONLY = "odd_only"
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "hilbert" or "common_factor"
-    slot: str | None  # which argument pair, e.g. "a,c"
-    pair: tuple | None
-    place: object
+class Violation(namedtuple("Violation", "kind slot pair place")):
+    """kind is "hilbert" or "common_factor"; slot names the argument pair, e.g.
+    "a,c", and pair holds its classes (both None for a common factor)."""
+
+    __slots__ = ()
 
     def __str__(self):
         if self.kind == "hilbert":
@@ -54,18 +53,23 @@ class Violation:
         return f"all three discriminants share the prime {self.place}"
 
 
-@dataclass(frozen=True, slots=True)
 class _Arg:
-    """One argument of the symbol, canonicalized and factored once."""
+    """One argument of the symbol, canonicalized and factored once.
 
-    n: int  # the squarefree class
-    negative: bool
-    even: int  # 1 iff 2 | n
-    odd: tuple[int, ...]  # the odd primes dividing n, ascending
-    # epsilon and omega of the odd part n' = n / 2**even, read mod 8:
-    # (n' - 1)/2 and (n'^2 - 1)/8, each mod 2
-    eps: int
-    omega: int
+    A plain slots class, not a tuple, because the validators read its fields in
+    their inner loops; _arg shares each instance, so none is ever changed."""
+
+    __slots__ = ("n", "negative", "even", "odd", "eps", "omega")
+
+    def __init__(self, n: int, negative: bool, even: int, odd: tuple[int, ...], eps: int, omega: int):
+        self.n = n  # the squarefree class
+        self.negative = negative
+        self.even = even  # 1 iff 2 | n
+        self.odd = odd  # the odd primes dividing n, ascending
+        # epsilon and omega of the odd part n' = n / 2**even, read mod 8:
+        # (n' - 1)/2 and (n'^2 - 1)/8, each mod 2
+        self.eps = eps
+        self.omega = omega
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -148,13 +152,10 @@ def is_valid_triple(a, b, c) -> bool:
     return _is_valid(_arg(a), _arg(b), _arg(c))
 
 
-@dataclass(frozen=True)
-class TwistingGroup:
+class TwistingGroup(namedtuple("TwistingGroup", "a b generators")):
     """Square classes whose twists preserve minimal ramification of F over (a, b)."""
 
-    a: int
-    b: int
-    generators: tuple[int, ...]
+    __slots__ = ()
 
     def contains(self, t: int) -> bool:
         t = _arg(t)
@@ -204,15 +205,12 @@ def twisting_group(a: int, b: int) -> TwistingGroup:
     return TwistingGroup(ra.n, rb.n, tuple(dict.fromkeys(gens)))
 
 
-@dataclass(frozen=True)
-class MinRamWitness:
-    a: int
-    b: int
-    beta: QuadElt  # over Q(sqrt a), norm in b * squares
-    alpha: QuadElt  # over Q(sqrt b), norm in a * squares
-    twist: int
-    solution: ConicSolution
-    ram_case: str
+class MinRamWitness(namedtuple("MinRamWitness", "a b beta alpha twist solution ram_case")):
+    """beta = twist*(x + y sqrt a) over Q(sqrt a), of norm in b * squares, and
+    alpha = twist*(2x + 2z sqrt b) over Q(sqrt b), of norm in a * squares, from
+    the conic point solution = (x, y, z); ram_case is the case of _ram_case."""
+
+    __slots__ = ()
 
 
 def _ram_case(a: int, b: int) -> tuple[str, str | None]:
@@ -260,11 +258,12 @@ def witness_from_solution(a: int, b: int, sol: ConicSolution) -> MinRamWitness:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _pair_witnesses(a: int, b: int) -> tuple[MinRamWitness, MinRamWitness]:
-    """The witnesses of (a, b) and of (b, a), for square classes a < b, each from
-    its own least conic point; one search of the shared Holzer box finds both."""
-    ab, ba = solve_pair(a, b)
-    return witness_from_solution(a, b, ab), witness_from_solution(b, a, ba)
+def _pair_witnesses(a: int, b: int) -> list:
+    """For square classes a < b: [least point of (a, b), least point of (b, a),
+    witness of (a, b), witness of (b, a)].  One search of the shared Holzer box
+    finds both points; each witness is built on first use, since the rank
+    matrices read one order of most pairs."""
+    return [*solve_pair(a, b), None, None]
 
 
 def minimally_ramified_witness(a: int, b: int) -> MinRamWitness:
@@ -275,7 +274,11 @@ def minimally_ramified_witness(a: int, b: int) -> MinRamWitness:
         raise TrivialClass("witness needs nontrivial classes")
     if a == b:
         raise DegenerateSquareClass("ab is a square; no dihedral extension")
-    return _pair_witnesses(a, b)[0] if a < b else _pair_witnesses(b, a)[1]
+    entry, i = (_pair_witnesses(a, b), 0) if a < b else (_pair_witnesses(b, a), 1)
+    w = entry[2 + i]
+    if w is None:
+        w = entry[2 + i] = witness_from_solution(a, b, entry[i])
+    return w
 
 
 def twist_witness(w: MinRamWitness, t: int) -> MinRamWitness:
@@ -284,7 +287,7 @@ def twist_witness(w: MinRamWitness, t: int) -> MinRamWitness:
     beta, alpha = w.beta * t, w.alpha * t
     if not _minimally_ramified(*_ram_case(w.a, w.b), beta, alpha):
         raise RamificationAssertFailed(f"twist {t} is not in the twisting group")
-    return replace(w, beta=beta, alpha=alpha, twist=square_class(w.twist * t))
+    return w._replace(beta=beta, alpha=alpha, twist=square_class(w.twist * t))
 
 
 def _odd_part(w: MinRamWitness, p: int) -> tuple[int, str]:
@@ -338,15 +341,11 @@ def p_part(w: MinRamWitness, c: int, v) -> int:
     return _local_part(w, v)[0]
 
 
-@dataclass(frozen=True)
-class SymbolTrace:
-    a: int
-    b: int
-    c: int
-    value: int
-    parts: dict
-    sides: dict
-    witness: MinRamWitness | None
+class SymbolTrace(namedtuple("SymbolTrace", "a b c value parts sides witness")):
+    """[a, b, c] = value, the product of the local parts, each keyed on its place
+    and computed on the side named in sides; witness is None for a trivial argument."""
+
+    __slots__ = ()
 
     def __int__(self):
         return self.value
@@ -377,11 +376,10 @@ def redei_symbol(a, b, c) -> SymbolTrace:
     return _symbol_from_witness(minimally_ramified_witness(a, b), c)
 
 
-@dataclass(frozen=True)
-class ReciprocityReport:
-    triple: tuple[int, int, int]
-    values: dict
-    consistent: bool
+class ReciprocityReport(namedtuple("ReciprocityReport", "triple values consistent")):
+    """values maps each ordering of triple to its symbol; consistent iff they agree."""
+
+    __slots__ = ()
 
 
 def verify_reciprocity(a, b, c) -> ReciprocityReport:
@@ -399,3 +397,23 @@ def verify_reciprocity(a, b, c) -> ReciprocityReport:
     for x, y, z in permutations((a, b, c)):
         values[x, y, z] = _symbol_from_witness(minimally_ramified_witness(x, y), z).value
     return ReciprocityReport((a, b, c), values, len(set(values.values())) == 1)
+
+
+def verify_twist_independence(a, b, c) -> list[tuple[int, int, int, int, int]]:
+    """Evaluate [a, b, c] from other witnesses of (a, b) and compare with redei_symbol.
+
+    The other witnesses come from the next two conic points and from twists of
+    the least witness by two members of the twisting group; the value depends
+    on neither choice.  Returns (a, b, c, value, other) for each witness that
+    gives another value, on the square classes of the arguments."""
+    trace = redei_symbol(a, b, c)
+    a, b, c, w = trace.a, trace.b, trace.c, trace.witness
+    if w is None:
+        raise TrivialClass("twist independence needs nontrivial classes")
+    alternates = [witness_from_solution(a, b, sol) for sol in enumerate_solutions(a, b, 3)[1:]]
+    alternates += [twist_witness(w, t) for t in twisting_group(a, b).sample()[:2]]
+    return [
+        (a, b, c, trace.value, other)
+        for other in (_symbol_from_witness(alt, c).value for alt in alternates)
+        if other != trace.value
+    ]

@@ -271,19 +271,19 @@ def test_off_conic_point_rejected_under_optimize():
 
     script = (
         "from redei.conic import ConicSolution\n"
-        "from redei.errors import InvariantViolated\n"
-        "for point in ((1, 1, 1, 5, 7), (4, 2, 0, 4, 7)):\n"
+        "from redei.errors import InvariantViolated, ZeroInput\n"
+        "for point in ((1, 1, 1, 5, 7), (4, 2, 0, 4, 7), (0, 0, 0, 5, 7)):\n"
         "    try:\n"
         "        ConicSolution(*point)\n"
-        "    except InvariantViolated:\n"
-        "        print('rejected')\n"
+        "    except (InvariantViolated, ZeroInput) as exc:\n"
+        "        print(type(exc).__name__)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(redei.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["rejected", "rejected"]
+    assert proc.stdout.split() == ["InvariantViolated", "InvariantViolated", "ZeroInput"]
 
 
 def test_zero_coefficients_rejected():

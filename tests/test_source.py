@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,16 +36,46 @@ def test_exports_resolve():
         pytest.fail(f"redei.__all__ lists {twice} more than once")
 
 
+def _private_imports(name: str, modules) -> list[str]:
+    """The _-prefixed names that redei/<name> imports from the redei modules
+    named in modules, or from any redei module when modules is None."""
+    path = PACKAGE / name
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and not module.startswith("redei"):
+            continue
+        if modules is not None and module.rpartition(".")[2] not in modules:
+            continue
+        found += [f"{module}.{alias.name}" for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
 def test_symbol_imports_no_private_names():
-    # symbol builds on the public API of conic and quadfield, not on their internals
-    path = PACKAGE / "symbol.py"
-    private = [
-        f"{node.module}.{alias.name}"
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.ImportFrom)
-        and (node.module or "").rpartition(".")[2] in ("conic", "quadfield")
-        for alias in node.names
-        if alias.name.startswith("_")
-    ]
+    # symbol builds on the public API of conic and quadfield, not on their internals,
+    # and the CLI on the public API of every redei module
+    private = _private_imports("symbol.py", ("conic", "quadfield"))
     if private:
         pytest.fail(f"symbol.py imports private names: {private}")
+    private = _private_imports("cli.py", None)
+    if private:
+        pytest.fail(f"cli.py imports private names: {private}")
+
+
+def test_cli_import_stays_light():
+    # a one-shot command pays for every module redei.cli loads: the process pool
+    # loads only under verify --jobs N > 1 (test_verify_jobs_match runs it), and
+    # the records are built without dataclasses
+    script = "import sys, redei.cli; print(*sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "redei.cli" in loaded
+    heavy = sorted(loaded & {"dataclasses", "concurrent.futures", "multiprocessing"})
+    if heavy:
+        pytest.fail(f"import redei.cli loads {heavy}")

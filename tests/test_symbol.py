@@ -38,8 +38,10 @@ from redei.symbol import (
     twisting_group,
     validate_triple,
     verify_reciprocity,
+    verify_twist_independence,
     witness_from_solution,
 )
+from redei import symbol
 
 
 def squarefree_values(bound):
@@ -268,6 +270,45 @@ def test_trivial_symbol_on_second_kind_decompositions():
             assert redei_symbol(a, b, c).value == 1, (D, dec)
             checked += 1
     assert checked > 10
+
+
+def test_witness_built_for_the_order_asked(monkeypatch):
+    # one conic search serves both orders of a pair; each order's witness is
+    # built on first use, from its own least point
+    _pair_witnesses.cache_clear()
+    built = []
+    real = symbol.witness_from_solution
+    monkeypatch.setattr(
+        symbol, "witness_from_solution", lambda a, b, sol: built.append((a, b)) or real(a, b, sol)
+    )
+    w = minimally_ramified_witness(-5, 41)
+    assert built == [(-5, 41)]
+    assert minimally_ramified_witness(-20, 41) is w
+    assert built == [(-5, 41)]
+    v = minimally_ramified_witness(41, -5)
+    assert built == [(-5, 41), (41, -5)]
+    assert v == real(41, -5, solve(41, -5))
+    assert minimally_ramified_witness(41 * 9, -5) is v
+    assert built == [(-5, 41), (41, -5)]
+    assert _pair_witnesses.cache_info().misses == 1
+
+
+def test_verify_twist_independence(monkeypatch):
+    assert verify_twist_independence(-20, 41, 5) == []
+    with pytest.raises(TrivialClass):
+        verify_twist_independence(-5, 41, 9)
+    with pytest.raises(InvalidTriple):
+        verify_twist_independence(-5, 41, 3)
+    # a value that depends on the conic point is reported, on the square classes,
+    # once for each of the next two points; the two twists keep the least point
+    least = minimally_ramified_witness(-5, 41)
+
+    def skewed(w, c):
+        trace = _symbol_from_witness(w, c)
+        return trace if w.solution == least.solution else trace._replace(value=-trace.value)
+
+    monkeypatch.setattr(symbol, "_symbol_from_witness", skewed)
+    assert verify_twist_independence(-20, 41, 5) == [(-5, 41, 5, -1, 1)] * 2
 
 
 def test_choice_independence():
