@@ -11,8 +11,8 @@ has B*B = D mod 4A, whose roots repeat with period 2A, so each leading
 coefficient A admits a few B rather than 2A of them.  Per D, a bytearray sieve
 drops the A for which no root exists, and the rest get their roots by CRT from
 the roots modulo 2**(v+2) and modulo each odd prime power dividing A (Tonelli-
-Shanks, then Hensel lifting).  A runs up to sqrt(|D|/3) for D < 0 and up to
-sqrt(D) for D > 0, so the work per D is about sqrt|D| (times a few roots per A)
+Shanks, then Hensel lifting).  A runs up to sqrt(|D|/3) for D < 0 and below
+sqrt(D)/2 for D > 0, so the work per D is about sqrt|D| (times a few roots per A)
 instead of the |D|/3 or pi*D/16 trial divisions of a double loop over (A, B).
 
 The enumeration needs no further test.  Every form it yields is primitive: a
@@ -23,10 +23,19 @@ form it yields is reduced.
 
 Inside, a form is an (A, B, C) tuple of ints and a class is its canonical
 tuple or that tuple's index in the sorted list; a FormClass is built only at
-the public API (`elements`, `identity`, `compose`, `inverse`).  The ranks take
-one Dirichlet composition and one reduction per class for the squaring map,
-and D > 0 adds one walk of each reduction cycle.  At the default bound
-|D| <= 10**6 this is a few milliseconds per D; `bound` admits larger D.
+the public API (`elements`, `identity`, `compose`, `inverse`).
+
+Cost.  For D < 0 the reduced forms are the classes.  For D > 0 only the forms
+with 0 < A and 4A**2 < D are enumerated, about 36% of the reduced forms near
+D = 10**6.  Each one not yet seen starts a walk of its cycle, which maps every
+form of the cycle to the class; the mirror cycle under (A, B, C) -> (-A, B, -C)
+is read off that walk without a second one (the two lemmas at
+`enumerate_classes`).  The ranks see only the 2-Sylow subgroup S of the class
+group, of order 2**e where h = 2**e * m with m odd: S is built as G**m from the
+m-th powers of a few classes, closed by coset products, and the squaring map
+takes one Dirichlet composition and one reduction per element of S.  At the
+default bound |D| <= 10**6 this is a few milliseconds per D; `bound` admits
+larger D.
 """
 
 from __future__ import annotations
@@ -281,22 +290,6 @@ def _enumerate_definite(D: int) -> list[tuple[int, int, int]]:
     return sorted(out)
 
 
-def _enumerate_indefinite(D: int) -> list[tuple[int, int, int]]:
-    out = []
-    s = isqrt(D)
-    for A, xs in _sqrt_classes(D, s):
-        twoa = 2 * A
-        # B in [lo, s] is exactly _is_reduced_indefinite: with D no square,
-        # B*B < D is B <= s, sqrt(D) - B < 2A is B >= s + 1 - 2A, and
-        # 2A < sqrt(D) + B is B >= 2A - s.  Primitivity holds as for D < 0.
-        lo = max(1, s + 1 - twoa, twoa - s)
-        for x in xs:
-            for B in range(lo + (x - lo) % twoa, s + 1, twoa):
-                C = (B * B - D) // (4 * A)
-                out += [(A, B, C), (-A, B, -C)]
-    return sorted(out)
-
-
 @lru_cache(maxsize=4)  # every caller works on one D at a time
 def enumerate_classes(D: int, bound: int = DEFAULT_ORACLE_BOUND) -> ClassGroup:
     """The full narrow class group of the fundamental discriminant D."""
@@ -306,14 +299,34 @@ def enumerate_classes(D: int, bound: int = DEFAULT_ORACLE_BOUND) -> ClassGroup:
         raise BoundExceeded(f"|{D}| exceeds the oracle bound {bound}")
     if D < 0:
         return ClassGroup(D, _enumerate_definite(D))
-    isq = isqrt(D)
+    # Lemma 1: every cycle holds a form with 4A**2 < D.  A reduced form has
+    # |A|*|C| = (D - B*B)/4 < D/4, so 4A**2 < D or 4C**2 < D, and rho moves C
+    # into the leading place.
+    # Lemma 2: sigma (A, B, C) -> (-A, B, -C) commutes with rho, whose step
+    # reads only |C| and B, and keeps the reduction condition, which reads
+    # only |A|; so sigma maps each cycle onto a cycle.
+    # Hence every cycle or its mirror holds a form with 0 < A and 4A**2 < D.
+    s = isqrt(D)
     canon, reps = {}, []
-    for start in _enumerate_indefinite(D):  # ascending: each new cycle starts at its least form
-        if start in canon:
-            continue
-        cyc = _cycle(start, D, isq)
-        reps.append(start)
-        canon.update(dict.fromkeys(cyc, start))
+    for A, xs in _sqrt_classes(D, isqrt(D - 1) // 2):
+        twoa = 2 * A
+        # B in [lo, s] is exactly _is_reduced_indefinite given 2A < sqrt(D):
+        # B*B < D is B <= s and sqrt(D) - B < 2A is B >= s + 1 - 2A.
+        # Primitivity holds as for D < 0.
+        lo = max(1, s + 1 - twoa)
+        for x in xs:
+            for B in range(lo + (x - lo) % twoa, s + 1, twoa):
+                start = (A, B, (B * B - D) // (4 * A))
+                if start in canon:
+                    continue
+                cyc = _cycle(start, D, s)
+                reps.append(min(cyc))
+                canon.update(dict.fromkeys(cyc, reps[-1]))
+                if (-A, B, -start[2]) not in canon:  # else sigma maps the cycle onto itself
+                    mirror = [(-a, b, -c) for a, b, c in cyc]
+                    reps.append(min(mirror))
+                    canon.update(dict.fromkeys(mirror, reps[-1]))
+    reps.sort()
     return ClassGroup(D, reps, canon)
 
 
@@ -324,19 +337,47 @@ def compose(f: FormClass, g: FormClass) -> FormClass:
     return enumerate_classes(f.D).compose(f, g)
 
 
-def _squares(group: ClassGroup) -> list[int]:
-    """The squaring map on class indices, in the order of `group.elements`."""
-    D, reps, reduce = group.D, group._reps, group._reduce
-    index = {f: i for i, f in enumerate(reps)}
-    return [index[reduce(_compose_raw(f, f, D))] for f in reps]
-
-
 def _ranks(group: ClassGroup) -> tuple[int, int, int]:
-    """(r2, r4, r8) of `group`, read off by counting 2-power torsion."""
-    square = _squares(group)
-    identity = group._reps.index(group._identity)
+    """(r2, r4, r8) of `group`, read off by counting 2-power torsion.
+
+    Only the 2-Sylow subgroup S = G**m, of order 2**e where h = 2**e * m with m
+    odd, is looked at: it holds every G[2**k], and h is an exact count, so S is
+    complete once it has 2**e elements.
+    """
+    D, reduce = group.D, group._reduce
+
+    def mul(f, g):
+        return reduce(_compose_raw(f, g, D))
+
+    two = group.order & -group.order
+    m = group.order // two
+    if m == 1:
+        sylow = group._reps
+    else:
+        S = dict.fromkeys([group._identity])  # an ordered set, identity first
+        for f in group._reps:
+            if len(S) == two:
+                break
+            g = f  # g = f**m, by square-and-multiply over the bits of m
+            for bit in bin(m)[3:]:
+                g = mul(g, g)
+                if bit == "1":
+                    g = mul(g, f)
+            if g in S:
+                continue
+            base = list(S)[1:]
+            gk = g
+            while gk not in S:  # add the coset g**k * S, for k = 1, 2, ... until g**k is in S
+                S[gk] = None
+                for s in base:
+                    S[mul(s, gk)] = None
+                gk = mul(gk, g)
+        sylow = list(S)
+    index = {f: i for i, f in enumerate(sylow)}
+    square = [index[mul(f, f)] for f in sylow]
+    identity = index[group._identity]
     counts = []
-    powers = range(len(square))  # the index of g^(2^k), for each g
+    powers = range(len(square))  # the index of g^(2^k), for each g in S
     for _ in range(4):
         counts.append(powers.count(identity))
         powers = [square[i] for i in powers]

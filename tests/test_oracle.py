@@ -95,8 +95,9 @@ def test_two_rank_is_t_minus_one():
         assert g.order % (1 << (t - 1)) == 0
 
 
-# --- references: the trial-division enumerations and the three-pass ranks that the
-# square-root enumeration and the one-pass squaring map replaced
+# --- references: the trial-division enumerations; the square-root enumeration of every
+# reduced indefinite form, which the enumeration from 0 < A and 4A**2 < D replaced; the
+# three-pass ranks; and the squaring map over all classes, which the 2-Sylow ranks replaced
 
 
 def ref_enumerate_definite(D: int) -> list[tuple[int, int, int]]:
@@ -134,6 +135,23 @@ def ref_enumerate_indefinite(D: int) -> list[tuple[int, int, int]]:
     return sorted(set(out))
 
 
+def sqrt_enumerate_indefinite(D: int) -> list[tuple[int, int, int]]:
+    """Every reduced form of discriminant D > 0, from the square roots of D mod 4A."""
+    out = []
+    s = isqrt(D)
+    for A, xs in oracle._sqrt_classes(D, s):
+        twoa = 2 * A
+        # B in [lo, s] is exactly _is_reduced_indefinite: with D no square,
+        # B*B < D is B <= s, sqrt(D) - B < 2A is B >= s + 1 - 2A, and
+        # 2A < sqrt(D) + B is B >= 2A - s.
+        lo = max(1, s + 1 - twoa, twoa - s)
+        for x in xs:
+            for B in range(lo + (x - lo) % twoa, s + 1, twoa):
+                C = (B * B - D) // (4 * A)
+                out += [(A, B, C), (-A, B, -C)]
+    return sorted(out)
+
+
 def ref_canon(forms: list, D: int) -> dict:
     """enumerate_classes' grouping of the reduced indefinite forms into cycles."""
     isq = isqrt(D)
@@ -164,14 +182,35 @@ def ref_narrow_ranks(D: int) -> tuple[int, int, int]:
     return tuple(out)
 
 
+def ref_squares(group) -> list[int]:
+    """The squaring map on class indices, in the order of `group.elements`."""
+    D, reps, reduce = group.D, group._reps, group._reduce
+    index = {f: i for i, f in enumerate(reps)}
+    return [index[reduce(oracle._compose_raw(f, f, D))] for f in reps]
+
+
+def ref_ranks_all_squares(group) -> tuple[int, int, int]:
+    """(r2, r4, r8) from 2-power torsion counted over every class."""
+    square = ref_squares(group)
+    identity = group._reps.index(group._identity)
+    counts = []
+    powers = range(len(square))  # the index of g^(2^k), for each g
+    for _ in range(4):
+        counts.append(powers.count(identity))
+        powers = [square[i] for i in powers]
+    return tuple((counts[k + 1] // counts[k]).bit_length() - 1 for k in range(3))
+
+
 def assert_matches_reference(D: int):
+    g = enumerate_classes(D)
     if D < 0:
         assert oracle._enumerate_definite(D) == sorted(ref_enumerate_definite(D)), D
     else:
         forms = ref_enumerate_indefinite(D)
-        assert oracle._enumerate_indefinite(D) == forms, D
-        assert enumerate_classes(D)._canon == ref_canon(forms, D), D
-    assert narrow_ranks(D) == ref_narrow_ranks(D), D
+        assert sorted(g._canon) == forms, D
+        assert sqrt_enumerate_indefinite(D) == forms, D
+        assert g._canon == ref_canon(forms, D), D
+    assert narrow_ranks(D) == ref_narrow_ranks(D) == ref_ranks_all_squares(g), D
 
 
 def test_enumeration_matches_reference_exhaustively():
@@ -278,7 +317,7 @@ def test_cycle_matches_rho_walk():
     sample += [D for D in large_sample() if D > 0]
     for D in sample:
         isq, seen = isqrt(D), set()
-        for f in oracle._enumerate_indefinite(D):
+        for f in sqrt_enumerate_indefinite(D):
             if f not in seen:
                 cyc = ref_cycle(f, D)
                 assert _cycle(f, D, isq) == cyc, (D, f)
@@ -300,7 +339,7 @@ def test_public_surface_over_tuples():
         if D < 0:
             reps = oracle._enumerate_definite(D)
         else:
-            reps = sorted(set(ref_canon(oracle._enumerate_indefinite(D), D).values()))
+            reps = sorted(set(ref_canon(sqrt_enumerate_indefinite(D), D).values()))
         els = g.elements
         assert [(f.A, f.B, f.C) for f in els] == reps, D
         assert all(type(f) is FormClass and f.D == D for f in els), D
@@ -308,7 +347,8 @@ def test_public_surface_over_tuples():
         assert g.identity in els, D
         assert g.identity == g._classify((1, D % 2, (D % 2 - D) // 4)), D
         assert all(compose(g.identity, f) == f for f in els), D
-        assert oracle._squares(g) == [els.index(compose(f, f)) for f in els], D
+        assert ref_squares(g) == [els.index(compose(f, f)) for f in els], D
+        assert narrow_ranks(D) == ref_ranks_all_squares(g), D
 
 
 # --- agreement with the Redei matrices past the default oracle bound
@@ -338,8 +378,9 @@ def sample_1e7_1e8() -> list[int]:
 
 def test_ranks_match_redei_matrix_to_1e8():
     for D in sample_1e7_1e8():
-        got = oracle._ranks(enumerate_classes(D, bound=10**8))
-        assert got == (r2(D), r4(D), r8(D)), D
+        g = enumerate_classes(D, bound=10**8)
+        got = oracle._ranks(g)
+        assert got == ref_ranks_all_squares(g) == (r2(D), r4(D), r8(D)), D
 
 
 @st.composite
@@ -354,4 +395,91 @@ def fundamental_discriminants_to_1e8(draw):
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(fundamental_discriminants_to_1e8())
 def test_redei_matrix_ranks_match_oracle_to_1e8(D):
-    assert oracle._ranks(enumerate_classes(D, bound=10**8)) == (r2(D), r4(D), r8(D))
+    g = enumerate_classes(D, bound=10**8)
+    assert oracle._ranks(g) == ref_ranks_all_squares(g) == (r2(D), r4(D), r8(D))
+
+
+# --- the two lemmas behind enumerating D > 0 from the forms with 0 < A and 4A**2 < D
+
+
+def sigma(f):
+    A, B, C = f
+    return (-A, B, -C)
+
+
+def test_cycle_lemmas():
+    # every cycle holds a form with 4A**2 < D, sigma commutes with rho, and so
+    # sigma maps each cycle onto the cycle of the mirrored form
+    for D in range(5, 20001):
+        if not is_fundamental_discriminant(D):
+            continue
+        isq, seen = isqrt(D), set()
+        for f in sqrt_enumerate_indefinite(D):
+            assert sigma(oracle._rho(*f, D, isq)) == oracle._rho(*sigma(f), D, isq), (D, f)
+            if f in seen:
+                continue
+            cyc = _cycle(f, D, isq)
+            assert any(4 * A * A < D for A, _, _ in cyc), (D, f)
+            assert [sigma(g) for g in cyc] == _cycle(sigma(f), D, isq), (D, f)
+            seen.update(cyc)
+
+
+def test_mirror_of_the_principal_cycle():
+    # D = 5: the unit (1 + sqrt 5)/2 has norm -1, so sigma fixes the principal cycle
+    cyc = _cycle((1, 1, -1), 5, 2)
+    assert sigma((1, 1, -1)) in cyc
+    assert enumerate_classes(5).order == 1
+    # D = 12: every unit of Z[sqrt 3] has norm +1, so sigma moves it to another class
+    cyc = _cycle((1, 2, -2), 12, 3)
+    assert cyc == [(1, 2, -2), (-2, 2, 1)]
+    assert sigma((1, 2, -2)) not in cyc
+    assert enumerate_classes(12)._reps == [(-2, 2, 1), (-1, 2, 2)]
+
+
+# --- the ranks from the 2-Sylow subgroup: h = 2**e * m with m odd
+
+
+@pytest.mark.parametrize(
+    "D, h, ranks",
+    [
+        (-23, 3, (0, 0, 0)),
+        (-100003, 39, (0, 0, 0)),  # h odd: S is the identity alone
+        (229, 3, (0, 0, 0)),
+        (100069, 3, (0, 0, 0)),
+        (-521951, 1024, (1, 1, 1)),  # m = 1: S is the whole group
+        (-228791, 768, (1, 1, 1)),  # a large 2-part, 2**8, with m = 3
+    ],
+)
+def test_ranks_from_the_two_sylow_subgroup(D, h, ranks):
+    g = enumerate_classes(D)
+    assert g.order == h
+    assert oracle._ranks(g) == ref_ranks_all_squares(g) == ranks == (r2(D), r4(D), r8(D))
+
+
+def test_composition_count(monkeypatch):
+    calls = 0
+    compose_raw = oracle._compose_raw
+
+    def counted(f1, f2, D):
+        nonlocal calls
+        calls += 1
+        return compose_raw(f1, f2, D)
+
+    monkeypatch.setattr(oracle, "_compose_raw", counted)
+    rng = random.Random(1021)
+    sample = [-521951]  # h = 1024 = 2**10: the closure would spend more than h
+    while len(sample) < 60:
+        D = rng.choice((-1, 1)) * rng.randint(10**5, 10**6)
+        if is_fundamental_discriminant(D):
+            sample.append(D)
+    total = total_h = 0
+    for D in sample:
+        g = enumerate_classes(D)
+        h = g.order
+        calls = 0
+        oracle._ranks(g)
+        if h & (h - 1) == 0:  # m = 1: one squaring per class, nothing else
+            assert calls <= h, (D, h, calls)
+        total += calls
+        total_h += h
+    assert 3 * total <= total_h, (total, total_h)
