@@ -13,7 +13,7 @@ from .arith import (
     square_class,
 )
 from .conic import ConicSolution, enumerate_solutions, is_solvable, solve, solve_pair
-from .oracle import ClassGroup, FormClass, compose, enumerate_classes, narrow_ranks
+from .oracle import ClassGroup, enumerate_classes, narrow_ranks
 from .quadfield import QuadElt, split_units
 from .redeimatrix import (
     RedeiMatrixR4,
@@ -35,7 +35,6 @@ from .symbol import (
     SymbolTrace,
     TwistingGroup,
     minimally_ramified_witness,
-    p_part,
     redei_symbol,
     twist_witness,
     twisting_group,
@@ -52,7 +51,7 @@ __all__ = [
     # conic
     "ConicSolution", "enumerate_solutions", "is_solvable", "solve", "solve_pair",
     # oracle
-    "ClassGroup", "FormClass", "compose", "enumerate_classes", "narrow_ranks",
+    "ClassGroup", "enumerate_classes", "narrow_ranks",
     # quadfield
     "QuadElt", "split_units",
     # redeimatrix
@@ -61,7 +60,7 @@ __all__ = [
     "second_kind_decompositions",
     # symbol
     "MinRamWitness", "ReciprocityReport", "SymbolTrace", "TwistingGroup",
-    "minimally_ramified_witness", "p_part", "redei_symbol", "twist_witness",
+    "minimally_ramified_witness", "redei_symbol", "twist_witness",
     "twisting_group", "validate_triple", "verify_reciprocity", "verify_twist_independence",
     "witness_from_solution",
 ]

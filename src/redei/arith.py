@@ -60,7 +60,8 @@ _MR_LIMIT = 3317044064679887385961981
 # residues, quadfield._unit_squares (keyed on a basis mod 4), stays unbounded:
 # it has at most a handful of entries.
 # oracle.enumerate_classes keeps 4 groups, because an entry is a whole class
-# group and the module-level compose needs the group of the D it works on.
+# group.  It serves a caller that reads one D's group more than once, as the
+# oracle's tests do; no path in the package does.
 CACHE_SIZE = 4096
 
 

@@ -196,11 +196,16 @@ def _product_item(pair) -> list:
         return [(a, b)]
 
 
-def _random_valid_triples(count: int, seed: int, entry_bound: int = 60):
+TWIST_ENTRY_BOUND = 60  # twist-independence draws its entries with |n| <= this
+
+
+def _random_valid_triples(count: int, seed: int):
     rng = random.Random(seed)
     found = []
     while len(found) < count:
-        a, b, c = (square_class(rng.randint(2, entry_bound) * rng.choice((1, -1))) for _ in range(3))
+        a, b, c = (
+            square_class(rng.randint(2, TWIST_ENTRY_BOUND) * rng.choice((1, -1))) for _ in range(3)
+        )
         if len({a, b, c}) != 3 or 1 in (a, b, c):
             continue
         if not is_valid_triple(a, b, c):
@@ -301,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
         "squarefree +-n with 2 <= n <= --max, and ignores --seed. "
         "oracle checks every fundamental D with |D| <= --max. "
         "product-formula draws --max pairs with |a|, |b| <= 10^6 from --seed. "
-        "twist-independence draws --max valid triples with |n| <= 60 from --seed. "
+        "twist-independence draws --max valid triples with "
+        f"|n| <= {TWIST_ENTRY_BOUND} from --seed. "
         "governing sweeps the primes p <= --max for d in -1, 2, -2, 3, -3, 5.",
     )
     p_verify.add_argument("suite", choices=sorted(_SUITES))

@@ -45,20 +45,12 @@ class DegenerateSquareClass(RedeiError):
     pass
 
 
-class PartUndefined(RedeiError):
-    pass
-
-
 class RamificationAssertFailed(RedeiError):
     """A minimal-ramification assumption failed while computing a local part."""
 
 
 class ProductFormulaViolated(RedeiError):
     """The global Hilbert product came out != +1: an implementation bug."""
-
-
-class DiscriminantMismatch(RedeiError):
-    pass
 
 
 class BoundExceeded(RedeiError):

@@ -47,13 +47,3 @@ def nullspace_basis(rows: list[int], ncols: int) -> list[int]:
                 v |= 1 << pcol
         basis.append(v)
     return basis
-
-
-def in_span(vec: int, rows: list[int], ncols: int) -> bool:
-    """Whether vec is a sum of rows: it reduces to 0 on the first ncols columns
-    against their echelon form."""
-    pivots, red = rref(rows, ncols)
-    for prow, pcol in zip(red, pivots):
-        if (vec >> pcol) & 1:
-            vec ^= prow
-    return vec & ((1 << ncols) - 1) == 0

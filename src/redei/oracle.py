@@ -21,9 +21,9 @@ fundamental D is no square multiple of another discriminant.  For D > 0 the
 range of B it walks for each A is exactly the reduction condition, so every
 form it yields is reduced.
 
-Inside, a form is an (A, B, C) tuple of ints and a class is its canonical
-tuple or that tuple's index in the sorted list; a FormClass is built only at
-the public API (`elements`, `identity`, `compose`, `inverse`).
+A form is an (A, B, C) tuple of ints and a class is its canonical tuple or
+that tuple's index in the sorted list.  The group law is `_compose_raw`
+followed by `ClassGroup._reduce`.
 
 Cost.  For D < 0 the reduced forms are the classes.  For D > 0 only the forms
 with 0 < A and 4A**2 < D are enumerated, about 36% of the reduced forms near
@@ -40,21 +40,14 @@ larger D.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import compress
 from math import isqrt
 
 from .arith import is_fundamental_discriminant, sqrt_mod_p
-from .errors import BoundExceeded, DiscriminantMismatch, InvariantViolated, NotFundamental
+from .errors import BoundExceeded, InvariantViolated, NotFundamental
 
 DEFAULT_ORACLE_BOUND = 10**6
-
-
-class FormClass(namedtuple("FormClass", "A B C D")):
-    """A narrow ideal class of discriminant D, held as its canonical reduced form (A, B, C)."""
-
-    __slots__ = ()
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -154,8 +147,9 @@ def _compose_raw(f1, f2, D: int) -> tuple[int, int, int]:
 class ClassGroup:
     """Finite abelian group of form classes of one fundamental discriminant.
 
-    The classes are held as their sorted canonical tuples (A, B, C); `elements`
-    and `identity` wrap them in FormClass on first use.
+    The classes are held as their sorted canonical tuples (A, B, C) in `_reps`,
+    the identity as `_identity`, and `_reduce` maps any primitive form of
+    discriminant D to the canonical tuple of its class.
     """
 
     def __init__(self, D: int, reps: list[tuple[int, int, int]], canon: dict | None = None):
@@ -165,15 +159,6 @@ class ClassGroup:
         self._isq = isqrt(D) if D > 0 else 0
         b0 = D % 2
         self._identity = self._reduce((1, b0, (b0 * b0 - D) // 4))
-
-    @cached_property
-    def elements(self) -> list[FormClass]:
-        D = self.D
-        return [FormClass(*f, D) for f in self._reps]
-
-    @cached_property
-    def identity(self) -> FormClass:
-        return FormClass(*self._identity, self.D)
 
     @property
     def order(self) -> int:
@@ -196,17 +181,6 @@ class ClassGroup:
             seen.add(f)
             f = _rho(*f, D, isq)
         return self._canon[f]
-
-    def _classify(self, form: tuple[int, int, int]) -> FormClass:
-        return FormClass(*self._reduce(form), self.D)
-
-    def compose(self, f: FormClass, g: FormClass) -> FormClass:
-        if f.D != g.D or f.D != self.D:
-            raise DiscriminantMismatch("forms of different discriminants")
-        return self._classify(_compose_raw((f.A, f.B, f.C), (g.A, g.B, g.C), self.D))
-
-    def inverse(self, f: FormClass) -> FormClass:
-        return self._classify((f.A, -f.B, f.C))
 
 
 def _sqrt_classes(D: int, amax: int):
@@ -328,13 +302,6 @@ def enumerate_classes(D: int, bound: int = DEFAULT_ORACLE_BOUND) -> ClassGroup:
                     canon.update(dict.fromkeys(mirror, reps[-1]))
     reps.sort()
     return ClassGroup(D, reps, canon)
-
-
-def compose(f: FormClass, g: FormClass) -> FormClass:
-    """Group law on form classes (module-level convenience)."""
-    if f.D != g.D:
-        raise DiscriminantMismatch("forms of different discriminants")
-    return enumerate_classes(f.D).compose(f, g)
 
 
 def _ranks(group: ClassGroup) -> tuple[int, int, int]:

@@ -26,11 +26,9 @@ from .conic import ConicSolution, enumerate_solutions, solve_pair
 from .errors import (
     DegenerateSquareClass,
     InvalidTriple,
-    PartUndefined,
     RamificationAssertFailed,
     TrivialClass,
 )
-from .gf2 import in_span
 from .quadfield import QuadElt, conductor_two_at_two, split_units, unramified_at_two
 
 A_SIDE = "A"
@@ -157,31 +155,11 @@ class TwistingGroup(namedtuple("TwistingGroup", "a b generators")):
 
     __slots__ = ()
 
-    def contains(self, t: int) -> bool:
-        t = _arg(t)
-        if t.n == 1:
-            return True
-        gens = [_arg(g) for g in self.generators]
-        primes = sorted({p for g in gens + [t] for p in _primes(g)})
-        index = {p: i + 1 for i, p in enumerate(primes)}  # bit 0 is the sign
-
-        def vec(g: _Arg) -> int:
-            v = int(g.negative)
-            for p in _primes(g):
-                v |= 1 << index[p]
-            return v
-
-        return in_span(vec(t), [vec(g) for g in gens], len(primes) + 1)
-
     def sample(self) -> list[int]:
         """A few nontrivial members: the generators and their pairwise products."""
         gens = self.generators
         out = list(gens) + [square_class(g * h) for g, h in combinations(gens, 2)]
         return [t for t in dict.fromkeys(out) if t != 1]
-
-
-def _primes(g: _Arg) -> tuple[int, ...]:
-    return (2,) * g.even + g.odd
 
 
 def _two_part(g: _Arg) -> int:
@@ -328,27 +306,11 @@ def _local_part(w: MinRamWitness, v) -> tuple[int, str]:
     return _odd_part(w, v)
 
 
-def p_part(w: MinRamWitness, c: int, v) -> int:
-    """Local factor of [a, b, c] at the place v, computed from the witness w."""
-    c = square_class(c)
-    if v is INFINITY:
-        if c > 0:
-            return 1
-    else:
-        v = int(v)
-        if c % v != 0:
-            raise PartUndefined(f"{v} does not divide {c}")
-    return _local_part(w, v)[0]
-
-
 class SymbolTrace(namedtuple("SymbolTrace", "a b c value parts sides witness")):
     """[a, b, c] = value, the product of the local parts, each keyed on its place
     and computed on the side named in sides; witness is None for a trivial argument."""
 
     __slots__ = ()
-
-    def __int__(self):
-        return self.value
 
 
 def _symbol_from_witness(w: MinRamWitness, c: int) -> SymbolTrace:

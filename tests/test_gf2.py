@@ -32,7 +32,7 @@ def test_gf2_against_span_enumeration(m):
     sp = span(rows)
     rk = gf2.rank(rows, ncols)
     assert 2**rk == len(sp)
-    assert gf2.in_span(vec, rows, ncols) == (vec in sp)
+    assert (gf2.rank(rows + [vec], ncols) == rk) == (vec in sp)
 
     pivots, red = gf2.rref(rows, ncols)
     assert len(pivots) == len(red) == rk

@@ -7,15 +7,8 @@ from hypothesis import strategies as st
 
 from redei import oracle
 from redei.arith import is_fundamental_discriminant, kronecker, signed_prime_decomposition
-from redei.errors import BoundExceeded, DiscriminantMismatch, InvariantViolated, NotFundamental
-from redei.oracle import (
-    FormClass,
-    _cycle,
-    _is_reduced_indefinite,
-    compose,
-    enumerate_classes,
-    narrow_ranks,
-)
+from redei.errors import BoundExceeded, InvariantViolated, NotFundamental
+from redei.oracle import _cycle, _is_reduced_indefinite, enumerate_classes, narrow_ranks
 from redei.redeimatrix import r2, r4, r8
 
 
@@ -40,32 +33,34 @@ def test_enumerate_errors():
 def test_negative_definite_form_is_a_library_error():
     # a RedeiError, so the CLI maps it to exit 6 rather than a traceback
     with pytest.raises(InvariantViolated):
-        enumerate_classes(-820)._classify((-1, 0, -205))
+        enumerate_classes(-820)._reduce((-1, 0, -205))
+
+
+def group_law(g):
+    """The product of two canonical tuples of g, and the inverse of one."""
+
+    def mul(f, h):
+        return g._reduce(oracle._compose_raw(f, h, g.D))
+
+    def inverse(f):
+        A, B, C = f
+        return g._reduce((A, -B, C))
+
+    return mul, inverse
 
 
 def test_compose_examples():
     g = enumerate_classes(-820)
-    for f in g.elements:
-        assert compose(g.identity, f) == f
-        sq = compose(f, f)
-        if sq != g.identity and compose(sq, sq) == g.identity:
-            pass  # order-4 elements exist in Z/2 x Z/4
-    two_torsion = [f for f in g.elements if compose(f, f) == g.identity]
+    mul, _ = group_law(g)
+    one = g._identity
+    for f in g._reps:
+        assert mul(one, f) == f
+    two_torsion = [f for f in g._reps if mul(f, f) == one]
     assert len(two_torsion) == 4
-    squares = {compose(f, f) for f in g.elements}
-    orders = set()
-    for s in squares:
-        if s != g.identity:
-            assert compose(s, s) == g.identity  # square of a generator has order 2
-            orders.add(2)
-    assert orders == {2}
-
-
-def test_compose_discriminant_mismatch():
-    f = enumerate_classes(-4).identity
-    g = enumerate_classes(-8).identity
-    with pytest.raises(DiscriminantMismatch):
-        compose(f, g)
+    squares = {mul(f, f) for f in g._reps}
+    assert len(squares) == 2  # Z/2 x Z/4 squares onto Z/2
+    for s in squares - {one}:
+        assert mul(s, s) == one  # square of a generator has order 2
 
 
 def test_group_axioms_sweep():
@@ -74,15 +69,16 @@ def test_group_axioms_sweep():
         if not is_fundamental_discriminant(D):
             continue
         g = enumerate_classes(D)
-        els = g.elements
+        mul, inverse = group_law(g)
+        els, one = g._reps, g._identity
         for f in els:
-            assert g.compose(g.identity, f) == f
-            assert g.compose(f, g.inverse(f)) == g.identity
+            assert mul(one, f) == f
+            assert mul(f, inverse(f)) == one
         for _ in range(60):
             x, y, z = (rng.choice(els) for _ in range(3))
-            assert g.compose(x, y) == g.compose(y, x)
-            assert g.compose(g.compose(x, y), z) == g.compose(x, g.compose(y, z))
-            assert g.compose(x, y) in set(els)
+            assert mul(x, y) == mul(y, x)
+            assert mul(mul(x, y), z) == mul(x, mul(y, z))
+            assert mul(x, y) in set(els)
 
 
 def test_two_rank_is_t_minus_one():
@@ -169,12 +165,13 @@ def ref_canon(forms: list, D: int) -> dict:
 
 def ref_narrow_ranks(D: int) -> tuple[int, int, int]:
     group = enumerate_classes(D)
+    mul, _ = group_law(group)
     counts = []
-    current = {f: f for f in group.elements}  # g -> g^(2^k)
+    current = {f: f for f in group._reps}  # g -> g^(2^k)
     for _ in range(3):
-        counts.append(sum(1 for img in current.values() if img == group.identity))
-        current = {g: group.compose(img, img) for g, img in current.items()}
-    counts.append(sum(1 for img in current.values() if img == group.identity))
+        counts.append(sum(1 for img in current.values() if img == group._identity))
+        current = {g: mul(img, img) for g, img in current.items()}
+    counts.append(sum(1 for img in current.values() if img == group._identity))
     out = []
     for k in range(3):
         ratio = counts[k + 1] // counts[k]
@@ -183,7 +180,7 @@ def ref_narrow_ranks(D: int) -> tuple[int, int, int]:
 
 
 def ref_squares(group) -> list[int]:
-    """The squaring map on class indices, in the order of `group.elements`."""
+    """The squaring map on class indices, in the order of `group._reps`."""
     D, reps, reduce = group.D, group._reps, group._reduce
     index = {f: i for i, f in enumerate(reps)}
     return [index[reduce(oracle._compose_raw(f, f, D))] for f in reps]
@@ -324,7 +321,7 @@ def test_cycle_matches_rho_walk():
                 seen.update(cyc)
 
 
-# --- the public surface over the tuple internals
+# --- the group's reps, identity and law on canonical tuples, against the references
 
 
 def test_public_surface_over_tuples():
@@ -340,14 +337,14 @@ def test_public_surface_over_tuples():
             reps = oracle._enumerate_definite(D)
         else:
             reps = sorted(set(ref_canon(sqrt_enumerate_indefinite(D), D).values()))
-        els = g.elements
-        assert [(f.A, f.B, f.C) for f in els] == reps, D
-        assert all(type(f) is FormClass and f.D == D for f in els), D
+        mul, _ = group_law(g)
+        els, one = g._reps, g._identity
+        assert els == reps, D
         assert g.order == len(els), D
-        assert g.identity in els, D
-        assert g.identity == g._classify((1, D % 2, (D % 2 - D) // 4)), D
-        assert all(compose(g.identity, f) == f for f in els), D
-        assert ref_squares(g) == [els.index(compose(f, f)) for f in els], D
+        assert one in els, D
+        assert one == g._reduce((1, D % 2, (D % 2 - D) // 4)), D
+        assert all(mul(one, f) == f for f in els), D
+        assert ref_squares(g) == [els.index(mul(f, f)) for f in els], D
         assert narrow_ranks(D) == ref_ranks_all_squares(g), D
 
 

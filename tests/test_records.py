@@ -10,7 +10,6 @@ import pytest
 
 from redei.arith import signed_prime_decomposition
 from redei.conic import solve
-from redei.oracle import enumerate_classes
 from redei.redeimatrix import build_R4, build_R8, governing_r4_check, second_kind_decompositions
 from redei.symbol import (
     minimally_ramified_witness,
@@ -36,11 +35,6 @@ RECORDS = [
         lambda: solve(-5, 41),
         ("x", "y", "z", "a", "b"),
         "ConicSolution(x=6, y=1, z=1, a=-5, b=41)",
-    ),
-    (
-        lambda: enumerate_classes(-84).elements[1],
-        ("A", "B", "C", "D"),
-        "FormClass(A=2, B=2, C=11, D=-84)",
     ),
     (
         lambda: build_R4(-820),

@@ -161,7 +161,7 @@ def ref_quotient_basis(vectors: list[int], modulus: int, ncols: int) -> list[int
     span = [modulus]
     out = []
     for v in vectors:
-        if not gf2.in_span(v, span, ncols):
+        if gf2.rank(span + [v], ncols) > gf2.rank(span, ncols):
             out.append(v)
             span.append(v)
     return out
