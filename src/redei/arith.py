@@ -61,7 +61,10 @@ _MR_LIMIT = 3317044064679887385961981
 # it has at most a handful of entries.
 # oracle.enumerate_classes keeps 4 groups, because an entry is a whole class
 # group.  It serves a caller that reads one D's group more than once, as the
-# oracle's tests do; no path in the package does.
+# oracle's tests do; no path in the package does.  The oracle's residue tables
+# (oracle._LPP, _INV, _PRIMES and _SQRT) are keyed on A <= sqrt(|D|/3), not on
+# D: they grow to the largest A asked for, so the oracle bound bounds them
+# (about 55 KB at the default bound, 4 MB at 10**8, under 8 MB at any bound).
 CACHE_SIZE = 4096
 
 

@@ -9,11 +9,15 @@ without any unit computation.
 The reduced forms are enumerated from square roots of D.  A reduced (A, B, C)
 has B*B = D mod 4A, whose roots repeat with period 2A, so each leading
 coefficient A admits a few B rather than 2A of them.  Per D, a bytearray sieve
-drops the A for which no root exists, and the rest get their roots by CRT from
-the roots modulo 2**(v+2) and modulo each odd prime power dividing A (Tonelli-
-Shanks, then Hensel lifting).  A runs up to sqrt(|D|/3) for D < 0 and below
-sqrt(D)/2 for D > 0, so the work per D is about sqrt|D| (times a few roots per A)
-instead of the |D|/3 or pi*D/16 trial divisions of a double loop over (A, B).
+drops the A for which no root exists, and the rest get their roots by one CRT
+step each, from the roots for A/q and those modulo q, the power of the least
+odd prime dividing A.  What does not depend on D is tabulated once per process
+and grown on first use to the largest A asked for: that q and the CRT inverse
+for each A, and a table of square roots modulo each odd prime.  So the roots
+modulo p cost one lookup per D, and Hensel lifting gives those modulo p**k.
+A runs up to sqrt(|D|/3) for D < 0 and below sqrt(D)/2 for D > 0, so the work
+per D is about sqrt|D| (times a few roots per A) instead of the |D|/3 or
+pi*D/16 trial divisions of a double loop over (A, B).
 
 The enumeration needs no further test.  Every form it yields is primitive: a
 common factor g of (A, B, C) would leave a form of discriminant D/g**2, and a
@@ -25,17 +29,22 @@ A form is an (A, B, C) tuple of ints and a class is its canonical tuple or
 that tuple's index in the sorted list.  The group law is `_compose_raw`
 followed by `ClassGroup._reduce`.
 
-Cost.  For D < 0 the reduced forms are the classes.  For D > 0 only the forms
-with 0 < A and 4A**2 < D are enumerated, about 36% of the reduced forms near
-D = 10**6.  Each one not yet seen starts a walk of its cycle, which maps every
-form of the cycle to the class; the mirror cycle under (A, B, C) -> (-A, B, -C)
-is read off that walk without a second one (the two lemmas at
-`enumerate_classes`).  The ranks see only the 2-Sylow subgroup S of the class
-group, of order 2**e where h = 2**e * m with m odd: S is built as G**m from the
-m-th powers of a few classes, closed by coset products, and the squaring map
-takes one Dirichlet composition and one reduction per element of S.  At the
-default bound |D| <= 10**6 this is a few milliseconds per D; `bound` admits
-larger D.
+Cost.  For D < 0 the reduced forms are the classes.  For D > 0 the walks start
+only from the start forms, with 0 < A and 4A**2 < D, about 36% of the reduced
+forms near D = 10**6.  Each one not yet seen starts a walk of its cycle, which maps
+every form of the cycle to the class; the mirror cycle under
+(A, B, C) -> (-A, B, -C) is read off that walk without a second one.  Every
+cycle or its mirror holds a start form (the two lemmas at `enumerate_classes`),
+so the walks stop as soon as every start form lies on a walked cycle: their
+number, one per root x mod 2A, is counted first from the residues mod q alone,
+and each walk subtracts those of its cycle and mirror.  The last new cycle
+typically appears within the first few percent of them.  The ranks see only
+the 2-Sylow subgroup S of the class group, of order 2**e where h = 2**e * m
+with m odd: S is built as G**m from the m-th powers of a few classes, closed by
+coset products, and the squaring map takes one Dirichlet composition and one
+reduction per element of S.  At the default bound |D| <= 10**6 this is about a
+millisecond per D, after tables of about 55 KB built once in a few
+milliseconds; `bound` admits larger D.
 """
 
 from __future__ import annotations
@@ -183,24 +192,70 @@ class ClassGroup:
         return self._canon[f]
 
 
-def _sqrt_classes(D: int, amax: int):
-    """Yield (A, xs) for 1 <= A <= amax, where xs lists the x in [0, 2A) with
-    x*x = D mod 4A, skipping the A with no such x.
+# Residue tables shared by every D, grown on first use to the largest amax any D
+# asks for (so bounded by the oracle bound, never by the length of a sweep):
+# for each A, the power q of the least odd prime dividing A (1 when A is a power
+# of 2) and (2A/q)**-1 mod q, the CRT step from the roots for A/q to those for A;
+# the odd primes; and per odd prime p below _SQRT_TABLE_LIMIT, an array t of
+# length p with t[k] a root of k mod p, or -1 where k is a non-residue.
+# An entry for A is complete before len(_LPP) passes A, so reading them is
+# safe while they grow; growing them from two threads at once is not (the
+# package starts no threads: `verify --jobs` runs processes).
+_LPP: list[int] = []
+_INV: list[int] = []
+_PRIMES: list[int] = []
+_SQRT: dict = {}
+# The square-root tables hold p entries per prime, about |D|/(6 log amax) in
+# all.  Primes from this one on (|D| above about 2*10**8) take Euler's criterion
+# and Tonelli-Shanks per D instead, so the tables stay under 8 MB at any bound.
+_SQRT_TABLE_LIMIT = 1 << 13
 
-    A reduced form (A, B, C) of discriminant D has B = x mod 2A for one of them.
-    The A are sieved per D: B*B = D mod 4A has no root when an odd p | A has
-    (D/p) = -1, when p*p | A for an odd p | D (D is fundamental), or when the
-    2-adic part of A admits none.  The roots for the rest come by CRT from the
-    2-adic roots and the roots modulo each odd prime power dividing A.
+
+def _grow_tables(n: int) -> None:
+    """Extend the residue tables to every A < n."""
+    from array import array  # here, not at import: most commands never enumerate
+
+    spf = list(range(n))  # smallest prime factors: the smallest prime writes last
+    for p in range(isqrt(n - 1) | 1, 2, -2):
+        spf[p * p :: p] = [p] * len(range(p * p, n, p))
+    for A in range(len(_LPP), n):
+        q = inv = 1
+        if A & (A - 1):  # A has an odd prime factor
+            m = A >> ((A & -A).bit_length() - 1)
+            p = q = spf[m]
+            while m % (q * p) == 0:
+                q *= p
+            inv = pow(2 * A // q, -1, q)
+            if m == A == p:  # A is an odd prime
+                _PRIMES.append(p)
+                if p < _SQRT_TABLE_LIMIT:
+                    t = _SQRT[p] = array("h", [-1]) * p
+                    for x in range((p + 1) // 2):
+                        t[x * x % p] = x
+        _LPP.append(q)
+        _INV.append(inv)
+
+
+def _residues(D: int, amax: int):
+    """The data of the x with x*x = D mod 4A, 1 <= A <= amax, that depends on D:
+    (ok, two, roots).
+
+    `ok[A]` is 0 for the A with no such x: those with an odd p | A and
+    (D/p) = -1, with p*p | A for an odd p | D (D is fundamental), or whose 2-adic
+    part admits none.  `two[v]` lists the x mod 2**(v+1) with x*x = D mod
+    2**(v+2), and `roots[q]` the x mod q with x*x = D mod q, for each odd prime
+    power q <= amax that admits one: a table lookup at p, then Hensel lifting.
     """
     n = amax + 1
+    if n > len(_LPP):
+        _grow_tables(n)
     ok = bytearray(b"\x01") * n
     ok[0] = 0
 
     def strike(start: int, step: int):
         ok[start::step] = bytes(len(range(start, n, step)))
 
-    # two[v]: the x mod 2**(v+1) with x*x = D mod 2**(v+2), lifted from two[v-1]
+    # two[v] lifted from two[v-1]
     two = [[D % 2]]
     while two[-1] and (1 << len(two)) < n:
         m = 1 << len(two)
@@ -208,44 +263,68 @@ def _sqrt_classes(D: int, amax: int):
     if not two[-1]:
         strike(1 << (len(two) - 1), 1 << (len(two) - 1))
 
-    # smallest prime factors: the smallest prime writes last
-    spf = list(range(n))
-    for p in range(isqrt(amax) | 1, 2, -2):
-        if spf[p] == p:
-            spf[p * p :: p] = [p] * len(range(p * p, n, p))
-    roots = {}  # odd prime power q <= amax -> the x mod q with x*x = D mod q
-    for p in range(3, n, 2):
-        if spf[p] != p:
-            continue
+    roots = {}
+    for p in _PRIMES:
+        if p > amax:
+            break
         k = D % p
         if k == 0:
             roots[p] = [0]
             strike(p * p, p * p)
-        elif pow(k, (p - 1) // 2, p) != 1:
+            continue
+        t = _SQRT.get(p)
+        if t is not None:
+            r = t[k]
+        else:  # p >= _SQRT_TABLE_LIMIT
+            r = sqrt_mod_p(k, p) if pow(k, p >> 1, p) == 1 else -1
+        if r < 0:
             strike(p, p)
-        else:
-            r, q = sqrt_mod_p(k, p), p
-            while q <= amax:
-                roots[q] = [r, q - r]
-                q *= p
-                r = (r - (r * r - D) * pow(2 * r, -1, q)) % q  # Hensel lift
+            continue
+        q = p
+        while q <= amax:
+            roots[q] = [r, q - r]
+            q *= p
+            r = (r - (r * r - D) * pow(2 * r, -1, q)) % q  # Hensel lift
+    return ok, two, roots
 
-    inverses = {}  # (M, q) -> M**-1 mod q, shared by every A that reaches it
-    for A in compress(range(n), ok):
-        v = (A & -A).bit_length() - 1
-        xs, M, m = two[v], 2 << v, A >> v
-        while m > 1:
-            p = q = spf[m]
-            m //= p
-            while m % p == 0:
-                q *= p
-                m //= p
-            inv = inverses.get((M, q))
-            if inv is None:
-                inv = inverses[M, q] = pow(M, -1, q)
-            xs = [x + M * ((r - x) * inv % q) for x in xs for r in roots[q]]
-            M *= q
+
+def _root_count(residues) -> int:
+    """The number of pairs (A, x) that `_roots(residues)` yields, without CRT.
+
+    The number of roots rho(A) is multiplicative: rho(A) = rho(A/q) * len(roots[q]).
+    """
+    ok, two, roots = residues
+    rho = [0] * len(ok)
+    for A in compress(range(len(ok)), ok):
+        q = _LPP[A]
+        rho[A] = len(two[A.bit_length() - 1]) if q == 1 else rho[A // q] * len(roots[q])
+    return sum(rho)
+
+
+def _roots(residues):
+    """Yield (A, xs) for the A that `residues` admits, in increasing order, where
+    xs lists the x in [0, 2A) with x*x = D mod 4A.
+
+    A reduced form (A, B, C) of discriminant D has B = x mod 2A for one of them.
+    The roots for A come by one CRT step from those for A/q, already yielded,
+    and those modulo q.
+    """
+    ok, two, roots = residues
+    memo = [None] * len(ok)
+    for A in compress(range(len(ok)), ok):
+        q = _LPP[A]
+        if q == 1:
+            xs = two[A.bit_length() - 1]
+        else:
+            M, inv = 2 * A // q, _INV[A]
+            xs = [x + M * ((r - x) * inv % q) for x in memo[A // q] for r in roots[q]]
+        memo[A] = xs
         yield A, xs
+
+
+def _sqrt_classes(D: int, amax: int):
+    """`_roots` for 1 <= A <= amax."""
+    return _roots(_residues(D, amax))
 
 
 def _enumerate_definite(D: int) -> list[tuple[int, int, int]]:
@@ -279,27 +358,43 @@ def enumerate_classes(D: int, bound: int = DEFAULT_ORACLE_BOUND) -> ClassGroup:
     # Lemma 2: sigma (A, B, C) -> (-A, B, -C) commutes with rho, whose step
     # reads only |C| and B, and keeps the reduction condition, which reads
     # only |A|; so sigma maps each cycle onto a cycle.
-    # Hence every cycle or its mirror holds a form with 0 < A and 4A**2 < D.
-    s = isqrt(D)
+    # Hence every cycle or its mirror holds a start form, one with 0 < A and
+    # 4A**2 < D (that is, A <= amax), and each walk adds a cycle with its mirror:
+    # once every start form lies on a walked cycle, no cycle is left, so the
+    # start forms are counted first and the walks stop when none is left.
+    s, amax = isqrt(D), isqrt(D - 1) // 2
+    residues = _residues(D, amax)
+    left = _root_count(residues)  # one start form per root x mod 2A, see below
     canon, reps = {}, []
-    for A, xs in _sqrt_classes(D, isqrt(D - 1) // 2):
-        twoa = 2 * A
-        # B in [lo, s] is exactly _is_reduced_indefinite given 2A < sqrt(D):
-        # B*B < D is B <= s and sqrt(D) - B < 2A is B >= s + 1 - 2A.
+    for A, xs in _roots(residues):
+        # B in [s + 1 - 2A, s] is exactly _is_reduced_indefinite given
+        # 2A < sqrt(D): B*B < D is B <= s and sqrt(D) - B < 2A is B >= s + 1 - 2A.
+        # That range holds one B per root, and B >= 1 as 2A <= isqrt(D - 1).
         # Primitivity holds as for D < 0.
-        lo = max(1, s + 1 - twoa)
+        twoa = 2 * A
+        lo = s + 1 - twoa
         for x in xs:
-            for B in range(lo + (x - lo) % twoa, s + 1, twoa):
-                start = (A, B, (B * B - D) // (4 * A))
-                if start in canon:
-                    continue
-                cyc = _cycle(start, D, s)
-                reps.append(min(cyc))
-                canon.update(dict.fromkeys(cyc, reps[-1]))
-                if (-A, B, -start[2]) not in canon:  # else sigma maps the cycle onto itself
-                    mirror = [(-a, b, -c) for a, b, c in cyc]
-                    reps.append(min(mirror))
-                    canon.update(dict.fromkeys(mirror, reps[-1]))
+            B = lo + (x - lo) % twoa
+            start = (A, B, (B * B - D) // (4 * A))
+            if start in canon:
+                continue
+            cyc = _cycle(start, D, s)
+            # the start forms of the cycle and those of its mirror, which sigma
+            # swaps: half of them when the mirror is the cycle itself
+            covered = len([a for a, _, _ in cyc if -amax <= a <= amax])
+            reps.append(min(cyc))
+            canon.update(dict.fromkeys(cyc, reps[-1]))
+            if (-A, B, -start[2]) in canon:  # sigma maps the cycle onto itself
+                covered //= 2
+            else:
+                mirror = [(-a, b, -c) for a, b, c in cyc]
+                reps.append(min(mirror))
+                canon.update(dict.fromkeys(mirror, reps[-1]))
+            left -= covered
+        if not left:
+            break
+    if left:
+        raise InvariantViolated(f"D = {D}: {left} start forms lie on no cycle")
     reps.sort()
     return ClassGroup(D, reps, canon)
 

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from math import gcd, isqrt
 
 import pytest
@@ -480,3 +483,61 @@ def test_composition_count(monkeypatch):
         total += calls
         total_h += h
     assert 3 * total <= total_h, (total, total_h)
+
+
+# --- the residue tables, grown once per process, and the count of start forms
+
+
+def test_start_form_count():
+    # the early stop of the D > 0 walks rests on this count being exact
+    for D in range(5, 20001):
+        if not is_fundamental_discriminant(D):
+            continue
+        amax = isqrt(D - 1) // 2
+        count = oracle._root_count(oracle._residues(D, amax))
+        assert count == sum(len(xs) for _, xs in oracle._sqrt_classes(D, amax)), D
+        assert count == sum(0 < A <= amax for A, _, _ in enumerate_classes(D)._canon), D
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    # empty residue tables for the test to grow; the module's come back afterwards
+    for name, empty in (("_LPP", []), ("_INV", []), ("_PRIMES", []), ("_SQRT", {})):
+        monkeypatch.setattr(oracle, name, empty)
+
+
+@pytest.mark.parametrize("limit", [oracle._SQRT_TABLE_LIMIT, 20])
+def test_tables_grow_out_of_order(fresh_tables, monkeypatch, limit):
+    # amax falls and then rises, so each D reads tables grown for another one;
+    # with limit 20 the primes from 23 on take their roots per D
+    monkeypatch.setattr(oracle, "_SQRT_TABLE_LIMIT", limit)
+    for D, amax in [(-1155, 60), (4620, 7), (-3, 25), (8, 150), (-9240, 90), (4621, 40), (5, 1)]:
+        assert is_fundamental_discriminant(D), D
+        brute = [(A, [x for x in range(2 * A) if (x * x - D) % (4 * A) == 0]) for A in range(1, amax + 1)]
+        got = [(A, sorted(xs)) for A, xs in oracle._sqrt_classes(D, amax)]
+        assert got == [(A, xs) for A, xs in brute if xs], (D, amax)
+        assert oracle._root_count(oracle._residues(D, amax)) == sum(len(xs) for _, xs in brute)
+    assert len(oracle._LPP) == 151
+    assert all(p < limit for p in oracle._SQRT)
+
+
+def test_tables_grow_to_the_largest_amax_only(fresh_tables):
+    # bounded by the oracle bound, whatever the length of the sweep
+    sample = large_sample()
+    enumerate_classes.cache_clear()
+    for D in sample:
+        narrow_ranks(D)
+    largest = max(isqrt(-D // 3) if D < 0 else isqrt(D - 1) // 2 for D in sample)
+    assert len(oracle._LPP) == len(oracle._INV) == largest + 1 <= isqrt(10**6 // 3) + 1
+    assert max(oracle._PRIMES) <= largest
+
+
+def test_tables_built_on_first_use():
+    script = (
+        "import sys, redei.cli; from redei import oracle; print(len(oracle._LPP), 'array' in sys.modules);"
+        "oracle.narrow_ranks(-23); print(len(oracle._LPP), 'array' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(oracle.__file__)))
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False", "3", "True"]
