@@ -11,7 +11,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import gcd
+from math import gcd, isqrt, prod
 
 from .errors import (
     FactorLimitExceeded,
@@ -47,18 +47,50 @@ DEFAULT_TRIAL_BOUND = 1 << 24
 # trial division runs this far before the cofactor goes to Miller-Rabin and rho
 TRIAL_LIMIT = 1 << 10
 
+# the least prime above TRIAL_LIMIT; a cofactor from its square on is divided by
+# the primes below TRIAL_LIMIT all at once, through one gcd with their product
+_PAST_TRIAL = 1031
+
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)  # increments mod 30 starting from 7
 
-# Miller-Rabin on the first 13 prime bases is exact below psi_13 (Sorenson and
-# Webster, Math. Comp. 86 (2017)).
+# Miller-Rabin on the first k prime bases is exact below psi_k, the least strong
+# pseudoprime to all of them (Jaeschke, Math. Comp. 61 (1993); OEIS A014233);
+# psi_12 and psi_13 are from Sorenson and Webster, Math. Comp. 86 (2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3317044064679887385961981
+_MR_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+_MR_LIMIT = _MR_PSI[-1]
+
+# rho's step budget on one cofactor, in units of isqrt(bound).  Rho finds a
+# prime p in about 1.25 * sqrt(p) steps: within the budget it splits all but a
+# rare tail of the cofactors with one prime above the bound, and decides the cap
+# on products of two primes up to about (50 * sqrt(bound))**2, semiprimes of
+# up to 21 digits at the default bound.  A cofactor it does not split is
+# trial-divided up to the bound, about bound / 4 steps, so the budget sets only
+# the time, never the answer; at the default bound it adds a tenth at most.
+_RHO_STEPS = 64
 
 # The one cache policy of the package.  A memo keyed on values that grow with a
 # sweep (an integer, a discriminant, a pair of arguments) is bounded at
-# CACHE_SIZE, so a long sweep runs in bounded memory.  The one table keyed on
-# residues, quadfield._unit_squares (keyed on a basis mod 4), stays unbounded:
-# it has at most a handful of entries.
+# CACHE_SIZE, so a long sweep runs in bounded memory.  The factor memo,
+# _factor_abs, is keyed on the odd part, so n and 2**k * n share one entry.
+# The one table keyed on residues, quadfield._unit_squares (keyed on a basis
+# mod 4), stays unbounded: it has at most a handful of entries.  The primes
+# below TRIAL_LIMIT and their product (_small_primes) are a constant, built on
+# first use.
 # oracle.enumerate_classes keeps 4 groups, because an entry is a whole class
 # group.  It serves a caller that reads one D's group more than once, as the
 # oracle's tests do; no path in the package does.  The oracle's residue tables
@@ -87,28 +119,35 @@ except InvalidFactorBound:
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin on _MR_BASES: exact for odd n with 41 < n < _MR_LIMIT."""
+    """Miller-Rabin on the first k prime bases, k least with n < psi_k: exact
+    for odd n with 1 < n < _MR_LIMIT = psi_13."""
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES:
+    for a, psi in zip(_MR_BASES, _MR_PSI):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            break
     return True
 
 
-def _rho(n: int) -> int:
-    """A proper divisor of the odd composite n: Brent's variant of Pollard's rho."""
+def _rho(n: int, steps: int) -> tuple[int, int]:
+    """(d, steps left): a proper divisor d of the odd composite n by Brent's
+    variant of Pollard's rho, or d = 0 when the next round would pass steps
+    iterations of the map."""
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if steps < 2 * r:
+                return 0, 0
+            steps -= 2 * r
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -127,54 +166,91 @@ def _rho(n: int) -> int:
                 ys = (ys * ys + c) % n
                 g = gcd(x - ys, n)
         if g != n:
-            return g
+            return g, steps
 
 
-def _split(m: int) -> tuple[tuple[int, int], ...]:
-    """(p, e) pairs, primes ascending, of a composite m < _MR_LIMIT with no prime below 42."""
+def _split(m: int, steps: int) -> tuple[tuple[int, int], ...] | None:
+    """(p, e) pairs, primes ascending, of an odd composite m < _MR_LIMIT, or None
+    when rho spends steps iterations first."""
     primes, stack = [], [m]
     while stack:
         m = stack.pop()
         if _is_prime(m):
             primes.append(m)
         else:
-            d = _rho(m)
+            d, steps = _rho(m, steps)
+            if not d:
+                return None
             stack += (d, m // d)
     return tuple((p, primes.count(p)) for p in sorted(set(primes)))
 
 
+_SMALL_PRIMES: list = []  # [the primes 7 <= p < TRIAL_LIMIT, their product], on first use
+
+
+def _small_primes() -> list:
+    if not _SMALL_PRIMES:
+        sieve = bytearray([1]) * TRIAL_LIMIT
+        for i in range(2, 32):
+            if sieve[i]:
+                sieve[i * i :: i] = bytes(len(sieve[i * i :: i]))
+        primes = [p for p in range(7, TRIAL_LIMIT) if sieve[p]]
+        _SMALL_PRIMES[:] = primes, prod(primes)
+    return _SMALL_PRIMES
+
+
+def _strip(m: int, p: int, out: list) -> int:
+    """m with every factor p divided out, its exponent appended to out as (p, e)."""
+    e = 0
+    while m % p == 0:
+        m //= p
+        e += 1
+    out.append((p, e))
+    return m
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def _factor_abs(m: int, bound: int) -> tuple[tuple[int, int], ...]:
+    """(p, e) pairs, primes ascending, of an odd m >= 1; see factor."""
     out = []
-    for p in (2, 3, 5):
+    for p in (3, 5):
         if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
+            m = _strip(m, p, out)
     c, i = 7, 0
     limit = min(bound, TRIAL_LIMIT)
+    if limit == TRIAL_LIMIT and m >= _PAST_TRIAL * _PAST_TRIAL:
+        primes, product = _small_primes()
+        g = gcd(m, product)
+        if g > 1:  # the primes below TRIAL_LIMIT that divide m, each once in g
+            for p in primes:
+                if p * p > g:
+                    break
+                if g % p == 0:
+                    g //= p
+                    m = _strip(m, p, out)
+            if g > 1:
+                m = _strip(m, g, out)
+        c, i = _PAST_TRIAL, 1  # 1031 = 11 mod 30, the wheel's second residue
     while c * c <= m:
         if c > limit:
             # m has no prime factor below c: certify it prime, or split it with
-            # rho if its smallest prime factor is at most bound
+            # rho and hold the primes found to the hard cap
             if m < _MR_LIMIT:
                 if _is_prime(m):
                     break
-                if c <= bound and m <= bound * bound:
-                    return tuple(out) + _split(m)
+                if c <= bound:
+                    split = _split(m, _RHO_STEPS * isqrt(bound))
+                    if split is not None:
+                        above = [(p, e) for p, e in split if p > bound]
+                        if sum(e for _, e in above) > 1:
+                            # the cofactor trial division up to the bound leaves
+                            raise _limit_exceeded(prod(p**e for p, e in above), bound)
+                        return tuple(out) + split
             if c > bound:
-                raise FactorLimitExceeded(
-                    f"unfactored cofactor {m} exceeds certification bound {bound}**2"
-                )
-            limit = bound  # rho may not finish: trial-divide up to the bound
+                raise _limit_exceeded(m, bound)
+            limit = bound  # rho ran out of steps: trial-divide up to the bound
         if m % c == 0:
-            e = 0
-            while m % c == 0:
-                m //= c
-                e += 1
-            out.append((c, e))
+            m = _strip(m, c, out)
         c += _WHEEL[i]
         i = (i + 1) % 8
     if m > 1:
@@ -182,13 +258,32 @@ def _factor_abs(m: int, bound: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _limit_exceeded(m: int, bound: int) -> FactorLimitExceeded:
+    return FactorLimitExceeded(f"unfactored cofactor {m} exceeds certification bound {bound}**2")
+
+
+def _factorization(m: int, bound: int) -> tuple[tuple[int, int], ...]:
+    """(p, e) pairs of m >= 1: the power of 2 split off, the odd part from the memo."""
+    if m & 1:
+        return _factor_abs(m, bound)
+    v = (m & -m).bit_length() - 1
+    return ((2, v),) + _factor_abs(m >> v, bound)
+
+
 def factor(n: int, bound: int | None = None) -> list[tuple[int, int]]:
     """Factor n != 0 into [(p, e), ...], primes ascending: sign(n) * prod(p**e) == n.
 
-    Trial division up to TRIAL_LIMIT, then Miller-Rabin on the first 13 prime
-    bases, exact below psi_13 = 3317044064679887385961981, and Brent's rho on a
-    composite cofactor up to bound**2.  A composite cofactor above bound**2, or
-    any cofactor from psi_13 on, is trial-divided up to bound.
+    The power of 2 is split off first, so n and 2**k * n share one memo entry.
+    The odd part is trial-divided by the primes below TRIAL_LIMIT = 2**10: by
+    a wheel mod 30 while the cofactor is below 1031**2, and from there on by
+    one gcd with their product.  A cofactor left over with no prime factor
+    below 1031 is certified by Miller-Rabin on the first k prime bases, k least
+    with the cofactor below psi_k (k = 5 near 10**12), exact below
+    psi_13 = 3317044064679887385961981.  A composite cofactor below psi_13 is
+    split by Brent's rho within a budget of steps proportional to sqrt(bound),
+    and the hard cap below is applied to the primes found.  A cofactor that
+    rho does not split within the budget, and any cofactor from psi_13 on, is
+    trial-divided up to bound instead, so the answer never depends on the budget.
 
     bound (default trial_bound, from REDEI_FACTOR_BOUND) is a hard cap: raises
     FactorLimitExceeded whenever n has two or more prime factors above bound,
@@ -198,7 +293,7 @@ def factor(n: int, bound: int | None = None) -> list[tuple[int, int]]:
     """
     if n == 0:
         raise ZeroInput("cannot factor 0")
-    return list(_factor_abs(abs(int(n)), trial_bound if bound is None else bound))
+    return list(_factorization(abs(int(n)), trial_bound if bound is None else bound))
 
 
 def prime_divisors(n: int) -> list[int]:
@@ -206,7 +301,7 @@ def prime_divisors(n: int) -> list[int]:
         return []
     if n == 0:
         raise ZeroInput("cannot factor 0")
-    return [p for p, _ in _factor_abs(abs(int(n)), trial_bound)]
+    return [p for p, _ in _factorization(abs(int(n)), trial_bound)]
 
 
 def square_class(q) -> int:
@@ -219,7 +314,7 @@ def square_class(q) -> int:
     if n == 0:
         raise ZeroInput("0 has no square class")
     out = -1 if n < 0 else 1
-    for p, e in _factor_abs(abs(n), trial_bound):
+    for p, e in _factorization(abs(n), trial_bound):
         if e % 2:
             out *= p
     return out

@@ -4,9 +4,11 @@
 nonnegative entries inside the Holzer box |y| <= isqrt|b|, |z| <= isqrt|a|,
 which holds a point whenever the conic has a rational one.  The box of (b, a)
 is that of (a, b) with y and z swapped, so ``solve_pair`` reads the least
-points of both orders from one search.  ``_box_solutions`` lists the primitive
-points of a box whose x is at most the count-th least x, ties included, by one
-of two exact enumerations, which return the same list:
+points of both orders from one search; ``solve_pair_squarefree`` is that
+search for a caller that already knows the odd primes of ab, and factors
+nothing.  ``_box_solutions`` lists the primitive points of a box whose x is at
+most the count-th least x, ties included, by one of two exact enumerations,
+which return the same list:
 
 * the cell scan walks each row z of the box from its first y with
   t = a*y^2 + b*z^2 >= 0, in the direction where t grows, tests t for a square,
@@ -114,23 +116,28 @@ def _search(a: int, b: int, ybound: int, zbound: int, count: int):
     return _least(found, count)
 
 
-def _congruences(a: int, b: int):
+def _congruences(a: int, b: int, primes=None):
     """(kind, p, root) at each odd p dividing a or b exactly once, or None if a
     root is missing (then the conic has no primitive point).
 
     A primitive point has x = +-root*z (mod p) for kind "z" (p | a only),
     x = +-root*y for kind "y" (p | b only), and x = 0, y = +-root*z for kind
     "yz" (p divides both); 2 and primes whose square divides a or b add none.
+    primes lists those p, ascending, when the caller knows them; otherwise
+    they are read from factor(a) and factor(b).
     """
-    ea, eb = dict(factor(a)), dict(factor(b))
+    if primes is None:
+        ea, eb = dict(factor(a)), dict(factor(b))
+        primes = [
+            p
+            for p in sorted(ea.keys() | eb.keys())
+            if p != 2 and ea.get(p, 0) < 2 and eb.get(p, 0) < 2
+        ]
     out = []
-    for p in sorted(ea.keys() | eb.keys()):
-        i, j = ea.get(p, 0), eb.get(p, 0)
-        if p == 2 or i > 1 or j > 1:
-            continue
-        if j == 0:
+    for p in primes:
+        if b % p:
             kind, n = "z", b % p
-        elif i == 0:
+        elif a % p:
             kind, n = "y", a % p
         else:
             kind, n = "yz", -(b // p) * pow(a // p, -1, p) % p
@@ -224,12 +231,13 @@ def _xbound(a: int, b: int, ybound: int, zbound: int) -> int:
     return isqrt(max(a, 0) * ybound * ybound + max(b, 0) * zbound * zbound)
 
 
-def _lattices(a: int, b: int, ybound: int, zbound: int):
+def _lattices(a: int, b: int, ybound: int, zbound: int, primes=None):
     """(bases, candidates): a basis of each congruence lattice, one per sign
     orbit, which together hold every primitive point with |y| <= ybound,
-    |z| <= zbound, and the number of lattice points expected in that box."""
+    |z| <= zbound, and the number of lattice points expected in that box;
+    primes as for _congruences."""
     xbound = _xbound(a, b, ybound, zbound)
-    conds = _congruences(a, b) if xbound else None
+    conds = _congruences(a, b, primes) if xbound else None
     if conds is None:
         return [], 0
     kinds = [kind for kind, _, _ in conds]
@@ -274,12 +282,12 @@ def _lattice_search(a: int, b: int, bases, ybound: int, zbound: int):
     return sorted(found)
 
 
-def _box_solutions(a: int, b: int, ybound: int, zbound: int, count: int):
+def _box_solutions(a: int, b: int, ybound: int, zbound: int, count: int, primes=None):
     """_least(points, count) of the sorted primitive points with 0 <= y <= ybound,
-    0 <= z <= zbound."""
+    0 <= z <= zbound; primes as for _congruences."""
     cells = (ybound + 1) * (zbound + 1)
     if cells > LATTICE_CELLS:
-        bases, candidates = _lattices(a, b, ybound, zbound)
+        bases, candidates = _lattices(a, b, ybound, zbound, primes)
         if candidates <= cells:
             return _least(_lattice_search(a, b, bases, ybound, zbound), count)
         # a large box back on the cell scan reads the local symbols first:
@@ -289,9 +297,10 @@ def _box_solutions(a: int, b: int, ybound: int, zbound: int, count: int):
     return _search(a, b, ybound, zbound, count)
 
 
-def _holzer_points(a: int, b: int, count: int):
+def _holzer_points(a: int, b: int, count: int, primes=None):
     """(ybound, zbound, points): the Holzer box of (a, b) and _least(points, count)
-    of its sorted primitive points, which are never empty.
+    of its sorted primitive points, which are never empty; primes as for
+    _congruences.
 
     Holzer's theorem puts a point in the box of every solvable conic, so a point
     found proves solvability; the local symbols are read only for an empty box,
@@ -300,7 +309,7 @@ def _holzer_points(a: int, b: int, count: int):
     if a == 0 or b == 0:
         raise ZeroInput("conic coefficients must be nonzero")
     ybound, zbound = isqrt(abs(b)), isqrt(abs(a))
-    found = _box_solutions(a, b, ybound, zbound, count)
+    found = _box_solutions(a, b, ybound, zbound, count, primes)
     if not found:
         if not is_solvable(a, b):
             raise NotSolvable(f"x^2 - {a}y^2 - {b}z^2 = 0 has no rational point")
@@ -316,7 +325,17 @@ def solve_pair(a: int, b: int) -> tuple[ConicSolution, ConicSolution]:
     and the search keeps every point of least x, ties included, so the least
     point of (b, a) is the least swapped one among them.
     """
-    _, _, found = _holzer_points(a, b, 1)
+    return _solve_pair(a, b, None)
+
+
+def solve_pair_squarefree(a: int, b: int, primes) -> tuple[ConicSolution, ConicSolution]:
+    """solve_pair(a, b) for squarefree a and b whose odd prime divisors the
+    caller knows: primes lists those of ab, ascending, and nothing is factored."""
+    return _solve_pair(a, b, primes)
+
+
+def _solve_pair(a: int, b: int, primes):
+    _, _, found = _holzer_points(a, b, 1, primes)
     x, z, y = min((x, z, y) for x, y, z in found)
     return ConicSolution(*found[0], a, b), ConicSolution(x, z, y, b, a)
 

@@ -4,13 +4,17 @@ second-kind decompositions -> kernel bases -> R8 -> (r2, r4, r8).
 Matrix conventions: F2 entries as int bitmasks (bit j = column j); labels are
 ordered 2-part first, then odd primes ascending.  The R8 matrix keeps all
 r4+1 kernel columns; the rank formula already accounts for the dependency.
+
+D is factored once, by the memoized build_R4: its labels are the signed parts
+and their primes, so r2 is its size, and every divisor of D the rest of the
+pipeline reads (each d1, d2 and m of R8) takes its primes from those labels.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, prod
 
 from . import gf2
 from .arith import (
@@ -22,7 +26,7 @@ from .arith import (
     square_class,
 )
 from .errors import InvariantViolated, NotSquarefree, TrivialClass
-from .symbol import redei_symbol
+from .symbol import _record, _symbol
 
 
 def fundamental_discriminant(d: int) -> int:
@@ -36,7 +40,7 @@ def fundamental_discriminant(d: int) -> int:
 
 def r2(D: int) -> int:
     """2-rank of the narrow class group: one less than the number of prime divisors."""
-    return signed_prime_decomposition(D).t - 1
+    return build_R4(D).t - 1
 
 
 class RedeiMatrixR4(namedtuple("RedeiMatrixR4", "D row_labels col_labels rows")):
@@ -86,35 +90,31 @@ def build_R4(D: int) -> RedeiMatrixR4:
 
 def r4(D: int) -> int:
     m = build_R4(D)
-    return r2(D) - m.rank()
+    return m.t - 1 - m.rank()
 
 
 class SecondKindDecomposition(namedtuple("SecondKindDecomposition", "d1 d2")):
     __slots__ = ()
 
 
-def _is_second_kind(D: int, d1: int) -> bool:
-    d2 = D // d1
-    for di in (d1, d2):
-        other = D // di
-        for p in prime_divisors(di):
-            if kronecker(other, p) != 1:
-                return False
-    return True
+def _is_second_kind(m4: RedeiMatrixR4, d1: int, mask: int) -> bool:
+    """True iff D = d1*d2, d1 the product of the parts in mask, splits every
+    ramified prime: kronecker(d2, p) = 1 for p | d1 and kronecker(d1, p) = 1 for p | d2."""
+    d2 = m4.D // d1
+    return all(
+        kronecker(d2 if mask >> i & 1 else d1, p) == 1 for i, p in enumerate(m4.col_labels)
+    )
 
 
 def second_kind_decompositions(D: int) -> list[SecondKindDecomposition]:
     """All unordered D = d1*d2 with every ramified prime split in Q(sqrt d1, sqrt d2)."""
-    parts = signed_prime_decomposition(D).parts
-    t = len(parts)
+    m4 = build_R4(D)
+    parts = m4.row_labels
     out = []
     # keep part 0 in d2 so each unordered pair appears once
-    for mask in range(1 << max(t - 1, 0)):
-        d1 = 1
-        for i in range(t - 1):
-            if (mask >> i) & 1:
-                d1 *= parts[i + 1]
-        if _is_second_kind(D, d1):
+    for mask in range(0, 1 << len(parts), 2):
+        d1 = prod(part for i, part in enumerate(parts) if mask >> i & 1)
+        if _is_second_kind(m4, d1, mask):
             pair = sorted((d1, D // d1), key=abs)
             out.append(SecondKindDecomposition(pair[0], pair[1]))
     out.sort(key=lambda s: (abs(s.d1), s.d1))
@@ -142,18 +142,33 @@ class RedeiMatrixR8(namedtuple("RedeiMatrixR8", "D row_labels col_labels rows"))
         return gf2.rank(list(self.rows), len(self.col_labels))
 
 
+def _divisor_record(m4: RedeiMatrixR4, mask: int):
+    """The symbol's record of the square class of the product of the parts in
+    mask, from the labels of R4: the class of a 2-part -4, 8 or -8 is -1, 2
+    or -2, so its prime 2 counts only for 8 and -8."""
+    n, primes = 1, []
+    for i, (part, p) in enumerate(zip(m4.row_labels, m4.col_labels)):
+        if mask >> i & 1:
+            if part % 2:
+                n *= part
+                primes.append(p)
+            else:
+                n *= part // 4
+                if part != -4:
+                    primes.append(p)
+    return _record(n, primes)
+
+
 def build_R8(D: int) -> RedeiMatrixR8:
     m4 = build_R4(D)
     t = m4.t
     parts, primes = m4.row_labels, m4.col_labels
     kernel = gf2.nullspace_basis(list(m4.rows), t)  # dim r4 + 1
-    cols = []
+    cols, col_records = [], []
     for vec in kernel:
-        m = 1
-        for j in range(t):
-            if (vec >> j) & 1:
-                m *= primes[j]
-        cols.append(m)
+        ps = [primes[j] for j in range(t) if vec >> j & 1]
+        cols.append(prod(ps))
+        col_records.append(_record(cols[-1], ps))
     # rows: basis of ker(R4^T) modulo the all-one vector.  R4's columns sum to 0,
     # so the all-one vector lies in that kernel, and it is the sum of the canonical
     # basis (one vector per free column, 1 there and 0 at the other free columns):
@@ -165,18 +180,15 @@ def build_R8(D: int) -> RedeiMatrixR8:
                 transpose[j] |= 1 << i
     decs, rows = [], []
     for vec in gf2.nullspace_basis(transpose, t)[:-1]:
-        d1 = 1
-        for i in range(t):
-            if (vec >> i) & 1:
-                d1 *= parts[i]
+        d1 = prod(parts[i] for i in range(t) if vec >> i & 1)
         d2 = D // d1
-        if not _is_second_kind(D, d1):
+        if not _is_second_kind(m4, d1, vec):
             raise InvariantViolated(f"{D} = {d1} * {d2} is not of the second kind")
         decs.append(SecondKindDecomposition(d1, d2))
+        a, b = _divisor_record(m4, vec), _divisor_record(m4, (1 << t) - 1 ^ vec)
         bits = 0
-        for j, m in enumerate(cols):
-            sym = redei_symbol(d1, d2, m).value
-            if sym == -1:
+        for j, c in enumerate(col_records):
+            if _symbol(a, b, c).value == -1:
                 bits |= 1 << j
         rows.append(bits)
     return RedeiMatrixR8(D, tuple(decs), tuple(cols), tuple(rows))
@@ -192,7 +204,10 @@ def r8(D: int) -> int:
 def ranks(d: int) -> tuple[int, int, int]:
     """(r2, r4, r8) of the narrow class group of Q(sqrt d), d squarefree."""
     D = fundamental_discriminant(d)
-    return r2(D), r4(D), r8(D)
+    m4 = build_R4(D)
+    rk2 = m4.t - 1
+    rk4 = rk2 - m4.rank()
+    return rk2, rk4, (rk4 - build_R8(D).rank() if rk4 else 0)
 
 
 class GoverningReport(namedtuple("GoverningReport", "d bound classes violations")):

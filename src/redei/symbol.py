@@ -22,7 +22,7 @@ from .arith import (
     prime_divisors,
     square_class,
 )
-from .conic import ConicSolution, enumerate_solutions, solve_pair
+from .conic import ConicSolution, enumerate_solutions, solve_pair_squarefree
 from .errors import (
     DegenerateSquareClass,
     InvalidTriple,
@@ -70,14 +70,18 @@ class _Arg:
         self.omega = omega
 
 
+def _record(n: int, primes) -> _Arg:
+    """The record of the squarefree n whose prime divisors, ascending, are primes."""
+    even = 1 if primes and primes[0] == 2 else 0
+    unit = (n >> even) % 8
+    return _Arg(n, n < 0, even, tuple(primes[even:]), (unit >> 1) & 1, (unit * unit - 1) // 8 % 2)
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def _arg(q) -> _Arg:
     """The record of q, memoized: canonicalizing and factoring is done once per q."""
     n = square_class(q)
-    primes = prime_divisors(n)
-    even = 1 if primes and primes[0] == 2 else 0
-    unit = (n >> even) % 8
-    return _Arg(n, n < 0, even, tuple(primes[even:]), (unit >> 1) & 1, (unit * unit - 1) // 8 % 2)
+    return _record(n, prime_divisors(n))
 
 
 def _fails_at_2(u: _Arg, w: _Arg) -> int:
@@ -236,27 +240,37 @@ def witness_from_solution(a: int, b: int, sol: ConicSolution) -> MinRamWitness:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _pair_witnesses(a: int, b: int) -> list:
-    """For square classes a < b: [least point of (a, b), least point of (b, a),
-    witness of (a, b), witness of (b, a)].  One search of the shared Holzer box
-    finds both points; each witness is built on first use, since the rank
-    matrices read one order of most pairs."""
-    return [*solve_pair(a, b), None, None]
+def _pair_witnesses(a: int, b: int, a_odd: tuple, b_odd: tuple) -> list:
+    """For square classes a < b with odd primes a_odd and b_odd: [least point
+    of (a, b), least point of (b, a), witness of (a, b), witness of (b, a)].
+    One search of the shared Holzer box finds both points; each witness is
+    built on first use, since the rank matrices read one order of most pairs.
+    a_odd and b_odd follow from a and b, so they leave the memo keyed on the
+    pair; they are passed so that the search factors nothing."""
+    return [*solve_pair_squarefree(a, b, sorted(set(a_odd).union(b_odd))), None, None]
+
+
+def _witness(a: _Arg, b: _Arg) -> MinRamWitness:
+    """The witness of (a.n, b.n), for distinct nontrivial classes; both orders
+    of a pair share one memo entry."""
+    if a.n < b.n:
+        entry, i = _pair_witnesses(a.n, b.n, a.odd, b.odd), 0
+    else:
+        entry, i = _pair_witnesses(b.n, a.n, b.odd, a.odd), 1
+    w = entry[2 + i]
+    if w is None:
+        w = entry[2 + i] = witness_from_solution(a.n, b.n, entry[i])
+    return w
 
 
 def minimally_ramified_witness(a: int, b: int) -> MinRamWitness:
-    """The witness of the square classes of (a, b), from the least conic point;
-    both orders of a pair share one memo entry."""
-    a, b = square_class(a), square_class(b)
-    if a == 1 or b == 1:
+    """The witness of the square classes of (a, b), from the least conic point."""
+    ra, rb = _arg(a), _arg(b)
+    if ra.n == 1 or rb.n == 1:
         raise TrivialClass("witness needs nontrivial classes")
-    if a == b:
+    if ra.n == rb.n:
         raise DegenerateSquareClass("ab is a square; no dihedral extension")
-    entry, i = (_pair_witnesses(a, b), 0) if a < b else (_pair_witnesses(b, a), 1)
-    w = entry[2 + i]
-    if w is None:
-        w = entry[2 + i] = witness_from_solution(a, b, entry[i])
-    return w
+    return _witness(ra, rb)
 
 
 def twist_witness(w: MinRamWitness, t: int) -> MinRamWitness:
@@ -313,29 +327,34 @@ class SymbolTrace(namedtuple("SymbolTrace", "a b c value parts sides witness")):
     __slots__ = ()
 
 
-def _symbol_from_witness(w: MinRamWitness, c: int) -> SymbolTrace:
-    arg = _arg(c)
+def _symbol_from_witness(w: MinRamWitness, c) -> SymbolTrace:
+    """[w.a, w.b, c] from the witness w; c is an int or, on the internal paths,
+    its _Arg record."""
+    arg = c if type(c) is _Arg else _arg(c)
     parts, sides = {}, {}
     for v in [2] * arg.even + list(arg.odd) + [INFINITY] * arg.negative:
         parts[v], sides[v] = _local_part(w, v)
     value = 1
     for s in parts.values():
         value *= s
-    return SymbolTrace(w.a, w.b, c, value, parts, sides, w)
+    return SymbolTrace(w.a, w.b, arg.n, value, parts, sides, w)
+
+
+def _symbol(a: _Arg, b: _Arg, c: _Arg) -> SymbolTrace:
+    """redei_symbol on the records of its arguments."""
+    if 1 in (a.n, b.n, c.n):
+        # the trivial-argument rule applies regardless of the remaining pair
+        return SymbolTrace(a.n, b.n, c.n, 1, {}, {}, None)
+    if not _is_valid(a, b, c):
+        raise InvalidTriple(_violations(a, b, c))
+    if a.n == b.n:
+        raise DegenerateSquareClass(f"[{a.n}, {b.n}, {c.n}] has ab square")
+    return _symbol_from_witness(_witness(a, b), c)
 
 
 def redei_symbol(a, b, c) -> SymbolTrace:
     """[a, b, c] with its local parts; trilinear and symmetric for valid triples."""
-    args = _arg(a), _arg(b), _arg(c)
-    a, b, c = (arg.n for arg in args)
-    if 1 in (a, b, c):
-        # the trivial-argument rule applies regardless of the remaining pair
-        return SymbolTrace(a, b, c, 1, {}, {}, None)
-    if not _is_valid(*args):
-        raise InvalidTriple(_violations(*args))
-    if a == b:
-        raise DegenerateSquareClass(f"[{a}, {b}, {c}] has ab square")
-    return _symbol_from_witness(minimally_ramified_witness(a, b), c)
+    return _symbol(_arg(a), _arg(b), _arg(c))
 
 
 class ReciprocityReport(namedtuple("ReciprocityReport", "triple values consistent")):
@@ -356,8 +375,8 @@ def verify_reciprocity(a, b, c) -> ReciprocityReport:
     if not _is_valid(*args):
         raise InvalidTriple(_violations(*args))
     values = {}
-    for x, y, z in permutations((a, b, c)):
-        values[x, y, z] = _symbol_from_witness(minimally_ramified_witness(x, y), z).value
+    for x, y, z in permutations(args):
+        values[x.n, y.n, z.n] = _symbol_from_witness(_witness(x, y), z).value
     return ReciprocityReport((a, b, c), values, len(set(values.values())) == 1)
 
 

@@ -201,3 +201,23 @@ def test_other_library_error_exit_6(capsys, monkeypatch):
     code, _, err = run(capsys, "ranks", "-205")
     assert code == 6
     assert err == "error: no point in the box\n"
+
+
+def test_verify_oracle_decomposes_each_discriminant_once(capsys, monkeypatch):
+    from redei import arith, redeimatrix
+
+    calls = []
+    real = arith.signed_prime_decomposition
+
+    def counted(D):
+        calls.append(D)
+        return real(D)
+
+    monkeypatch.setattr(arith, "signed_prime_decomposition", counted)
+    monkeypatch.setattr(redeimatrix, "signed_prime_decomposition", counted)
+    redeimatrix.build_R4.cache_clear()
+    code, out, _ = run(capsys, "verify", "oracle", "--max", "20000", "--json")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["checked"] == 12160
+    assert sorted(calls) == sorted(set(calls)) and len(calls) == rec["checked"]

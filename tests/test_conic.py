@@ -296,7 +296,7 @@ def test_zero_coefficients_rejected():
 def test_empty_box_reads_the_local_symbols(monkeypatch):
     # solvability comes from the search; only an empty box consults is_solvable,
     # which tells an unsolvable conic from a search that missed
-    monkeypatch.setattr(conic, "_box_solutions", lambda a, b, ybound, zbound, count: [])
+    monkeypatch.setattr(conic, "_box_solutions", lambda a, b, ybound, zbound, count, primes=None: [])
     for find in (solve, lambda a, b: enumerate_solutions(a, b, 2)):
         with pytest.raises(SearchExhausted):
             find(-20, 41)

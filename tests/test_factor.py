@@ -178,3 +178,99 @@ def test_factor_products_of_primes(draws, bound):
             factor(n, bound)
     else:
         assert factor(n, bound) == sorted(Counter(primes).items())
+
+
+PSI = arith._MR_PSI  # psi_1, ..., psi_13
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_psi_table_is_the_least_strong_pseudoprimes():
+    # psi_k passes the first k bases, so Miller-Rabin needs one more base at
+    # psi_k, and _is_prime, which picks k from n, takes it
+    sympy = pytest.importorskip("sympy")
+    assert arith._MR_BASES == tuple(sympy.primerange(2, 42))
+    assert list(PSI) == sorted(PSI)
+    for k, psi in enumerate(PSI[:12], 1):
+        assert not sympy.isprime(psi), k
+        assert all(_strong_probable_prime(psi, a) for a in arith._MR_BASES[:k]), k
+        assert not arith._is_prime(psi), k
+
+
+def test_is_prime_matches_sympy_in_every_band():
+    # each band [psi_(k-1), psi_k) runs Miller-Rabin on the first k bases
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1993)
+    for low, high in zip((3,) + PSI, PSI):
+        if low == high:
+            continue
+        odd = [rng.randrange(low | 1, high, 2) for _ in range(150)]
+        # Miller-Rabin errs only on composites: test primes too
+        odd += [sympy.nextprime(rng.randrange(low, high - high // 1000)) for _ in range(10)]
+        for n in odd:
+            assert arith._is_prime(n) == sympy.isprime(n), n
+
+
+def test_factor_around_the_trial_limit():
+    # the gcd with the primes below 2**10 takes over from the wheel at 1031**2
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1031)
+    ns = [p**e for p in (1009, 1013, 1019, 1021, 1031, 1033, 1039) for e in (1, 2, 3, 5)]
+    ns += [1021**3 * 1031**2, 3 * 5**2 * 7 * 1021 * 1031]
+    edge = 1031 * 1031
+    ns += list(range(edge - 40, edge + 40))
+    ns += [edge - 2 * 1021, 1021 * 1039, 1031 * 1033, 1021 * 1031, 7 * 1031**2, 1021 * 1033**2]
+    # even n with large odd parts: the power of 2 is split off before the memo
+    ns += [2**e * sympy.nextprime(rng.randrange(10**11, 10**12)) for e in (1, 2, 3, 17)]
+    ns += [2**40 * 1021 * 999983, 2**3 * 1031**2 * 1000003]
+    for n in ns:
+        assert factor(n) == sorted(sympy.factorint(n).items()), n
+        assert factor(n, bound=10**9) == sorted(sympy.factorint(n).items()), n
+    # below TRIAL_LIMIT the bound stops the wheel early, whatever the cofactor
+    for n in ns:
+        check_against_reference(n, 1000)
+        check_against_reference(n, 100)
+
+
+def test_rho_budget_never_changes_the_answer(monkeypatch):
+    # with no steps for rho, every cofactor is trial-divided up to the bound
+    rng = random.Random(24)
+    ns = [rng.randrange(10**11, 10**13) for _ in range(200)]
+    ns += [1009 * 1013, 1031 * 1033 * 99991, 3 * 1009 * 1013]
+    bounds = (100, 1000, 1031, 5000, 10**5)
+
+    def outcome(n, bound):
+        try:
+            return factor(n, bound)
+        except FactorLimitExceeded as exc:
+            return str(exc)
+
+    fast = {(n, b): outcome(n, b) for n in ns for b in bounds}
+    monkeypatch.setattr(arith, "_RHO_STEPS", 0)
+    arith._factor_abs.cache_clear()
+    try:
+        for (n, b), want in fast.items():
+            assert outcome(n, b) == want, (n, b)
+    finally:
+        arith._factor_abs.cache_clear()
+
+
+def test_cap_on_large_semiprimes_reports_the_cofactor():
+    # both primes above the default bound: rho splits the cofactor, and the
+    # error names the cofactor that trial division up to the bound leaves
+    p, q = 100000007, 1000000007
+    with pytest.raises(FactorLimitExceeded, match=f"unfactored cofactor {p * q} "):
+        factor(3 * p * q)
+    assert factor(3 * p * q, bound=q) == [(3, 1), (p, 1), (q, 1)]

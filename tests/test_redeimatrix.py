@@ -169,7 +169,7 @@ def ref_quotient_basis(vectors: list[int], modulus: int, ncols: int) -> list[int
 
 def test_R8_rows_match_greedy_quotient_basis(monkeypatch):
     # only the row choice is compared, so a stub stands in for the symbols
-    monkeypatch.setattr(redeimatrix, "redei_symbol", lambda a, b, c: SimpleNamespace(value=1))
+    monkeypatch.setattr(redeimatrix, "_symbol", lambda a, b, c: SimpleNamespace(value=1))
     checked = 0
     for D in range(-20000, 20001):
         if not is_fundamental_discriminant(D):
@@ -188,3 +188,42 @@ def test_R8_rows_match_greedy_quotient_basis(monkeypatch):
         checked += 1
     if checked != 12160:
         pytest.fail(f"{checked} fundamental discriminants with |D| <= 20000")
+
+
+def _clear_memos():
+    import importlib
+    import pkgutil
+
+    import redei
+
+    for info in pkgutil.iter_modules(redei.__path__, "redei."):
+        for fn in vars(importlib.import_module(info.name)).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        838529494469,  # 92957 * 9020617, D = d
+        -262723337047,  # -37 * 75533 * 94007, D = d
+        650012313245,  # 5 * 2131 * 4421 * 13799, D = d
+        -997216298578,  # -2 * 498608149289, D = 4d
+        470446520314,  # 2 * 57809 * 4068973, D = 4d
+        -972643831517,  # -980999 * 991483, D = 4d
+        196847072999,  # 4327 * 5527 * 8231, D = 4d
+    ],
+)
+def test_ranks_factors_once(d, capsys):
+    # D comes from one factorization, and every divisor of D that R4, R8 and
+    # the symbols read takes its primes from D's: from cold memos, one miss
+    from redei import arith
+    from redei.cli import main
+
+    _clear_memos()
+    assert ranks(d)[1] >= 1  # so build_R8 runs
+    assert arith._factor_abs.cache_info().misses == 1
+    _clear_memos()
+    assert main(["ranks", str(d), "--json"]) == 0
+    assert arith._factor_abs.cache_info().misses == 1
+    capsys.readouterr()
