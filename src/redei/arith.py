@@ -91,9 +91,8 @@ _RHO_STEPS = 64
 # mod 4), stays unbounded: it has at most a handful of entries.  The primes
 # below TRIAL_LIMIT and their product (_small_primes) are a constant, built on
 # first use.
-# oracle.enumerate_classes keeps 4 groups, because an entry is a whole class
-# group.  It serves a caller that reads one D's group more than once, as the
-# oracle's tests do; no path in the package does.  The oracle's residue tables
+# oracle.enumerate_classes keeps no memo: every path in the package reads a
+# D's class group once.  The oracle's residue tables
 # (oracle._LPP, _INV, _PRIMES and _SQRT) are keyed on A <= sqrt(|D|/3), not on
 # D: they grow to the largest A asked for, so the oracle bound bounds them
 # (about 55 KB at the default bound, 4 MB at 10**8, under 8 MB at any bound).
@@ -185,16 +184,24 @@ def _split(m: int, steps: int) -> tuple[tuple[int, int], ...] | None:
     return tuple((p, primes.count(p)) for p in sorted(set(primes)))
 
 
+def _primes_upto(n: int) -> list[int]:
+    """The primes p <= n, by the sieve of Eratosthenes."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\x00\x00"
+    for i in range(2, isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+    return [i for i in range(n + 1) if sieve[i]]
+
+
 _SMALL_PRIMES: list = []  # [the primes 7 <= p < TRIAL_LIMIT, their product], on first use
 
 
 def _small_primes() -> list:
     if not _SMALL_PRIMES:
-        sieve = bytearray([1]) * TRIAL_LIMIT
-        for i in range(2, 32):
-            if sieve[i]:
-                sieve[i * i :: i] = bytes(len(sieve[i * i :: i]))
-        primes = [p for p in range(7, TRIAL_LIMIT) if sieve[p]]
+        primes = _primes_upto(TRIAL_LIMIT - 1)[3:]
         _SMALL_PRIMES[:] = primes, prod(primes)
     return _SMALL_PRIMES
 
@@ -304,13 +311,18 @@ def prime_divisors(n: int) -> list[int]:
     return [p for p, _ in _factorization(abs(int(n)), trial_bound)]
 
 
+def _int_class(q) -> int:
+    """An integer in the square class of the rational q: q itself, or its
+    numerator times its denominator."""
+    if isinstance(q, int):
+        return q
+    q = Fraction(q)
+    return q.numerator * q.denominator
+
+
 def square_class(q) -> int:
     """Canonical squarefree representative of q in Q*/Q*^2."""
-    if isinstance(q, int):
-        n = q
-    else:
-        q = Fraction(q)
-        n = q.numerator * q.denominator
+    n = _int_class(q)
     if n == 0:
         raise ZeroInput("0 has no square class")
     out = -1 if n < 0 else 1
@@ -473,19 +485,11 @@ def mod_p(q, p: int) -> int:
     return q.numerator * pow(q.denominator, -1, p) % p
 
 
-def _int_class(q) -> int:
-    # an integer in the same square class; Hilbert symbols only see the class
-    if isinstance(q, int):
-        return q
-    q = Fraction(q)
-    return q.numerator * q.denominator
-
-
 def hilbert(a, b, v) -> int:
     """Hilbert symbol (a,b)_v: +1 iff x^2 - a y^2 - b z^2 = 0 has a nonzero Q_v-point.
 
     v is INFINITY or a prime; any other v raises InvariantViolated."""
-    a, b = _int_class(a), _int_class(b)
+    a, b = _int_class(a), _int_class(b)  # the symbols see only the square class
     if a == 0 or b == 0:
         raise ZeroInput("Hilbert symbol needs nonzero arguments")
     if v is INFINITY:
@@ -520,14 +524,13 @@ def hilbert(a, b, v) -> int:
 
 
 def hilbert_places(a, b) -> list:
-    """Places where (a,b)_v may be nontrivial: infinity, 2 and odd p | ab."""
+    """Places where (a,b)_v may be nontrivial: infinity, 2 and odd p | ab.
+
+    A rational's numerator and denominator are factored apart: their product,
+    _int_class, can pass the factor cap where neither of them does."""
     ps = {2}
-    for q in (a, b):
-        if not isinstance(q, int):
-            q = Fraction(q)
-            ps.update(p for p, _ in factor(q.denominator))
-            q = q.numerator
-        ps.update(p for p, _ in factor(q))
+    for q in map(Fraction, (a, b)):
+        ps.update(p for n in (q.numerator, q.denominator) for p, _ in factor(n))
     return [INFINITY] + sorted(ps)
 
 

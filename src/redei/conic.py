@@ -4,11 +4,14 @@
 nonnegative entries inside the Holzer box |y| <= isqrt|b|, |z| <= isqrt|a|,
 which holds a point whenever the conic has a rational one.  The box of (b, a)
 is that of (a, b) with y and z swapped, so ``solve_pair`` reads the least
-points of both orders from one search; ``solve_pair_squarefree`` is that
-search for a caller that already knows the odd primes of ab, and factors
-nothing.  ``_box_solutions`` lists the primitive points of a box whose x is at
-most the count-th least x, ties included, by one of two exact enumerations,
-which return the same list:
+points of both orders from one search.  Below the public entries every
+function takes ``primes``: the odd p dividing a or b exactly once and neither
+of them twice, ascending.  ``solve_pair`` and ``enumerate_solutions`` read
+them once from factor(a) and factor(b), in ``_congruence_primes``;
+``solve_pair_squarefree`` takes them from a caller that already knows them,
+and factors nothing.  ``_box_solutions`` lists the primitive points of a box
+whose x is at most the count-th least x, ties included, by one of two exact
+enumerations, which return the same list:
 
 * the cell scan walks each row z of the box from its first y with
   t = a*y^2 + b*z^2 >= 0, in the direction where t grows, tests t for a square,
@@ -23,9 +26,10 @@ which return the same list:
   exactly from the adjugate find all of them, so reduction quality affects
   only speed.  The points past the count-th least x are then dropped.
 
-A box takes the lattice path when it has more than ``LATTICE_CELLS`` cells, the
-measured crossover, unless square factors of a and b leave the lattices more
-candidate points than the box has cells.
+A box takes the lattice path when it has more than ``LATTICE_CELLS`` cells, a
+crossover measured against the old full-box loop (see the constant), unless
+square factors of a and b leave the lattices more candidate points than the
+box has cells.
 """
 
 from __future__ import annotations
@@ -38,8 +42,10 @@ from math import gcd, inf, isqrt, prod
 from .arith import factor, hilbert, hilbert_places, kronecker, sqrt_mod_p
 from .errors import InvariantViolated, NotSolvable, SearchExhausted, ZeroInput
 
-# boxes with more (y, z) cells than this are enumerated by lattices: the two
-# paths cost the same near 1,500 cells (squarefree |a|, |b| ~ 1,500)
+# boxes with more (y, z) cells than this are enumerated by lattices.  1,500
+# cells was the crossover against the old full-box loop; the pruned cell scan
+# has since moved it (cheaper than the lattices near 1,500 and 5,000 cells,
+# dearer near 20,000), but no ladder has measured the new one, so it stays
 LATTICE_CELLS = 1_500
 
 # LLL swap and size-reduction steps per basis; more only means a better basis
@@ -62,10 +68,14 @@ class ConicSolution(namedtuple("ConicSolution", "x y z a b")):
         return self
 
 
-def is_solvable(a: int, b: int) -> bool:
-    """Local-global: solvable over Q iff every local symbol (a,b)_v is +1."""
+def _nonzero(a: int, b: int) -> None:
     if a == 0 or b == 0:
         raise ZeroInput("conic coefficients must be nonzero")
+
+
+def is_solvable(a: int, b: int) -> bool:
+    """Local-global: solvable over Q iff every local symbol (a,b)_v is +1."""
+    _nonzero(a, b)
     return all(hilbert(a, b, v) == 1 for v in hilbert_places(a, b))
 
 
@@ -116,23 +126,23 @@ def _search(a: int, b: int, ybound: int, zbound: int, count: int):
     return _least(found, count)
 
 
-def _congruences(a: int, b: int, primes=None):
-    """(kind, p, root) at each odd p dividing a or b exactly once, or None if a
-    root is missing (then the conic has no primitive point).
+def _congruence_primes(a: int, b: int) -> list[int]:
+    """The primes of the module docstring, for nonzero a and b."""
+    _nonzero(a, b)
+    ea, eb = dict(factor(a)), dict(factor(b))
+    return [
+        p for p in sorted(ea.keys() | eb.keys()) if p != 2 and ea.get(p, 0) < 2 and eb.get(p, 0) < 2
+    ]
+
+
+def _congruences(a: int, b: int, primes):
+    """(kind, p, root) at each p in primes, or None if a root is missing (then
+    the conic has no primitive point).
 
     A primitive point has x = +-root*z (mod p) for kind "z" (p | a only),
     x = +-root*y for kind "y" (p | b only), and x = 0, y = +-root*z for kind
     "yz" (p divides both); 2 and primes whose square divides a or b add none.
-    primes lists those p, ascending, when the caller knows them; otherwise
-    they are read from factor(a) and factor(b).
     """
-    if primes is None:
-        ea, eb = dict(factor(a)), dict(factor(b))
-        primes = [
-            p
-            for p in sorted(ea.keys() | eb.keys())
-            if p != 2 and ea.get(p, 0) < 2 and eb.get(p, 0) < 2
-        ]
     out = []
     for p in primes:
         if b % p:
@@ -231,11 +241,10 @@ def _xbound(a: int, b: int, ybound: int, zbound: int) -> int:
     return isqrt(max(a, 0) * ybound * ybound + max(b, 0) * zbound * zbound)
 
 
-def _lattices(a: int, b: int, ybound: int, zbound: int, primes=None):
+def _lattices(a: int, b: int, ybound: int, zbound: int, primes):
     """(bases, candidates): a basis of each congruence lattice, one per sign
     orbit, which together hold every primitive point with |y| <= ybound,
-    |z| <= zbound, and the number of lattice points expected in that box;
-    primes as for _congruences."""
+    |z| <= zbound, and the number of lattice points expected in that box."""
     xbound = _xbound(a, b, ybound, zbound)
     conds = _congruences(a, b, primes) if xbound else None
     if conds is None:
@@ -282,9 +291,9 @@ def _lattice_search(a: int, b: int, bases, ybound: int, zbound: int):
     return sorted(found)
 
 
-def _box_solutions(a: int, b: int, ybound: int, zbound: int, count: int, primes=None):
+def _box_solutions(a: int, b: int, ybound: int, zbound: int, count: int, primes):
     """_least(points, count) of the sorted primitive points with 0 <= y <= ybound,
-    0 <= z <= zbound; primes as for _congruences."""
+    0 <= z <= zbound."""
     cells = (ybound + 1) * (zbound + 1)
     if cells > LATTICE_CELLS:
         bases, candidates = _lattices(a, b, ybound, zbound, primes)
@@ -297,17 +306,14 @@ def _box_solutions(a: int, b: int, ybound: int, zbound: int, count: int, primes=
     return _search(a, b, ybound, zbound, count)
 
 
-def _holzer_points(a: int, b: int, count: int, primes=None):
+def _holzer_points(a: int, b: int, count: int, primes):
     """(ybound, zbound, points): the Holzer box of (a, b) and _least(points, count)
-    of its sorted primitive points, which are never empty; primes as for
-    _congruences.
+    of its sorted primitive points, which are never empty.
 
     Holzer's theorem puts a point in the box of every solvable conic, so a point
     found proves solvability; the local symbols are read only for an empty box,
     to tell NotSolvable from SearchExhausted.
     """
-    if a == 0 or b == 0:
-        raise ZeroInput("conic coefficients must be nonzero")
     ybound, zbound = isqrt(abs(b)), isqrt(abs(a))
     found = _box_solutions(a, b, ybound, zbound, count, primes)
     if not found:
@@ -325,16 +331,14 @@ def solve_pair(a: int, b: int) -> tuple[ConicSolution, ConicSolution]:
     and the search keeps every point of least x, ties included, so the least
     point of (b, a) is the least swapped one among them.
     """
-    return _solve_pair(a, b, None)
+    return solve_pair_squarefree(a, b, _congruence_primes(a, b))
 
 
 def solve_pair_squarefree(a: int, b: int, primes) -> tuple[ConicSolution, ConicSolution]:
-    """solve_pair(a, b) for squarefree a and b whose odd prime divisors the
-    caller knows: primes lists those of ab, ascending, and nothing is factored."""
-    return _solve_pair(a, b, primes)
-
-
-def _solve_pair(a: int, b: int, primes):
+    """solve_pair(a, b) for a caller that knows primes (see the module
+    docstring), which for squarefree a and b are the odd primes of ab,
+    ascending; nothing is factored."""
+    _nonzero(a, b)
     _, _, found = _holzer_points(a, b, 1, primes)
     x, z, y = min((x, z, y) for x, y, z in found)
     return ConicSolution(*found[0], a, b), ConicSolution(x, z, y, b, a)
@@ -355,9 +359,10 @@ def solve(a: int, b: int) -> ConicSolution:
 
 def enumerate_solutions(a: int, b: int, count: int) -> list[ConicSolution]:
     """count distinct primitive solutions, no two related by coordinate sign flips."""
-    ybound, zbound, found = _holzer_points(a, b, max(count, 1))
+    primes = _congruence_primes(a, b)
+    ybound, zbound, found = _holzer_points(a, b, max(count, 1), primes)
     while len(found) < count:
         ybound = 2 * ybound + 1
         zbound = 2 * zbound + 1
-        found = _box_solutions(a, b, ybound, zbound, count)
+        found = _box_solutions(a, b, ybound, zbound, count, primes)
     return [ConicSolution(x, y, z, a, b) for x, y, z in found[:count]]

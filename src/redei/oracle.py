@@ -49,7 +49,6 @@ milliseconds; `bound` admits larger D.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import compress
 from math import isqrt
 
@@ -322,14 +321,9 @@ def _roots(residues):
         yield A, xs
 
 
-def _sqrt_classes(D: int, amax: int):
-    """`_roots` for 1 <= A <= amax."""
-    return _roots(_residues(D, amax))
-
-
 def _enumerate_definite(D: int) -> list[tuple[int, int, int]]:
     out = []
-    for A, xs in _sqrt_classes(D, isqrt(-D // 3)):
+    for A, xs in _roots(_residues(D, isqrt(-D // 3))):
         for x in xs:
             B = x - 2 * A if x > A else x  # the root in (-A, A]
             C = (B * B - D) // (4 * A)
@@ -343,7 +337,6 @@ def _enumerate_definite(D: int) -> list[tuple[int, int, int]]:
     return sorted(out)
 
 
-@lru_cache(maxsize=4)  # every caller works on one D at a time
 def enumerate_classes(D: int, bound: int = DEFAULT_ORACLE_BOUND) -> ClassGroup:
     """The full narrow class group of the fundamental discriminant D."""
     if not is_fundamental_discriminant(D):

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import isqrt, prod
+from math import prod
 
 from . import gf2
 from .arith import (
     CACHE_SIZE,
+    _primes_upto,
     discriminant,
     kronecker,
     prime_divisors,
@@ -204,10 +205,7 @@ def r8(D: int) -> int:
 def ranks(d: int) -> tuple[int, int, int]:
     """(r2, r4, r8) of the narrow class group of Q(sqrt d), d squarefree."""
     D = fundamental_discriminant(d)
-    m4 = build_R4(D)
-    rk2 = m4.t - 1
-    rk4 = rk2 - m4.rank()
-    return rk2, rk4, (rk4 - build_R8(D).rank() if rk4 else 0)
+    return r2(D), r4(D), r8(D)
 
 
 class GoverningReport(namedtuple("GoverningReport", "d bound classes violations")):
@@ -218,17 +216,6 @@ class GoverningReport(namedtuple("GoverningReport", "d bound classes violations"
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-def _primes_upto(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = b"\x00\x00"
-    for i in range(2, isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(n + 1) if sieve[i]]
 
 
 def governing_r4_check(d: int, bound: int) -> GoverningReport:

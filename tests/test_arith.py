@@ -237,12 +237,19 @@ def test_product_formula():
             assert hilbert_product(a, b) == 1
 
 
+def test_hilbert_places_of_a_rational_past_the_factor_cap():
+    # numerator and denominator are primes just above 2**24: each is certified
+    # alone, and their product, which has two primes above the cap, never is
+    p, q = 16777259, 16777289
+    assert hilbert_places(Fraction(p, q), 3) == [INFINITY, 2, 3, p, q]
+    assert hilbert_product(Fraction(p, q), 3) == 1
+
+
 def test_one_cache_policy():
     # every memo is bounded at CACHE_SIZE, except the residue table (at most a
-    # handful of entries), the class groups and the CLI parser
+    # handful of entries) and the CLI parser
     exceptions = {
         "redei.quadfield._unit_squares": None,
-        "redei.oracle.enumerate_classes": 4,
         "redei.cli._parser": 1,
     }
     found = {}

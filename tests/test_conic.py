@@ -5,16 +5,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from redei import conic
-from redei.arith import square_class
+from redei.arith import factor, square_class
 from redei.conic import (
     LATTICE_CELLS,
     ConicSolution,
+    _congruence_primes,
     _lattice_search,
     _lattices,
     enumerate_solutions,
     is_solvable,
     solve,
     solve_pair,
+    solve_pair_squarefree,
 )
 from redei.errors import NotSolvable, SearchExhausted, ZeroInput
 
@@ -41,7 +43,7 @@ def cell_loop(a, b, ybound, zbound):
 
 def lattice_path(a, b, ybound, zbound):
     """The lattice enumeration of the box, whatever its size."""
-    bases, _ = _lattices(a, b, ybound, zbound)
+    bases, _ = _lattices(a, b, ybound, zbound, _congruence_primes(a, b))
     return _lattice_search(a, b, bases, ybound, zbound)
 
 
@@ -224,7 +226,7 @@ def test_square_factors_fall_back_to_the_cell_loop():
     ybound, zbound = holzer_box(a, b)
     cells = (ybound + 1) * (zbound + 1)
     assert cells > LATTICE_CELLS
-    assert _lattices(a, b, ybound, zbound)[1] > cells
+    assert _lattices(a, b, ybound, zbound, _congruence_primes(a, b))[1] > cells
     s = solve(a, b)
     assert (s.x, s.y, s.z) == cell_loop(a, b, ybound, zbound)[0]
 
@@ -293,10 +295,42 @@ def test_zero_coefficients_rejected():
         enumerate_solutions(3, 0, 2)
 
 
+def test_zero_input_is_rejected_before_factoring():
+    calls = (
+        lambda: solve(0, 5),
+        lambda: solve_pair(5, 0),
+        lambda: enumerate_solutions(0, 3, 2),
+        lambda: solve_pair_squarefree(0, 5, []),
+    )
+    for call in calls:
+        with pytest.raises(ZeroInput, match="^conic coefficients must be nonzero$"):
+            call()
+
+
+def test_conic_factors_once_per_coefficient(monkeypatch):
+    # the public entries factor a and b once each; every box below them, the
+    # widened boxes of enumerate_solutions included, reads those primes
+    calls = []
+
+    def counting_factor(n, *args):
+        calls.append(n)
+        return factor(n, *args)
+
+    monkeypatch.setattr(conic, "factor", counting_factor)
+    assert len(enumerate_solutions(-4999, 2474, 3)) == 3
+    assert sorted(calls) == [-4999, 2474]
+    calls.clear()
+    solve_pair(-4999, 2474)
+    assert sorted(calls) == [-4999, 2474]
+    calls.clear()
+    solve_pair_squarefree(-4999, 2474, [1237, 4999])
+    assert calls == []
+
+
 def test_empty_box_reads_the_local_symbols(monkeypatch):
     # solvability comes from the search; only an empty box consults is_solvable,
     # which tells an unsolvable conic from a search that missed
-    monkeypatch.setattr(conic, "_box_solutions", lambda a, b, ybound, zbound, count, primes=None: [])
+    monkeypatch.setattr(conic, "_box_solutions", lambda a, b, ybound, zbound, count, primes: [])
     for find in (solve, lambda a, b: enumerate_solutions(a, b, 2)):
         with pytest.raises(SearchExhausted):
             find(-20, 41)
@@ -313,7 +347,8 @@ def test_unsolvable_large_box_is_not_scanned(monkeypatch):
     monkeypatch.setattr(conic, "_search", no_scan)
     b = 27 * 100003**2
     ybound, zbound = isqrt(b), 1
-    if _lattices(-1, b, ybound, zbound)[1] <= (ybound + 1) * (zbound + 1):
+    _, candidates = _lattices(-1, b, ybound, zbound, _congruence_primes(-1, b))
+    if candidates <= (ybound + 1) * (zbound + 1):
         pytest.fail("the box takes the lattice path")
     with pytest.raises(NotSolvable):
         solve(-1, b)

@@ -138,7 +138,7 @@ def sqrt_enumerate_indefinite(D: int) -> list[tuple[int, int, int]]:
     """Every reduced form of discriminant D > 0, from the square roots of D mod 4A."""
     out = []
     s = isqrt(D)
-    for A, xs in oracle._sqrt_classes(D, s):
+    for A, xs in oracle._roots(oracle._residues(D, s)):
         twoa = 2 * A
         # B in [lo, s] is exactly _is_reduced_indefinite: with D no square,
         # B*B < D is B <= s, sqrt(D) - B < 2A is B >= s + 1 - 2A, and
@@ -495,7 +495,7 @@ def test_start_form_count():
             continue
         amax = isqrt(D - 1) // 2
         count = oracle._root_count(oracle._residues(D, amax))
-        assert count == sum(len(xs) for _, xs in oracle._sqrt_classes(D, amax)), D
+        assert count == sum(len(xs) for _, xs in oracle._roots(oracle._residues(D, amax))), D
         assert count == sum(0 < A <= amax for A, _, _ in enumerate_classes(D)._canon), D
 
 
@@ -514,7 +514,7 @@ def test_tables_grow_out_of_order(fresh_tables, monkeypatch, limit):
     for D, amax in [(-1155, 60), (4620, 7), (-3, 25), (8, 150), (-9240, 90), (4621, 40), (5, 1)]:
         assert is_fundamental_discriminant(D), D
         brute = [(A, [x for x in range(2 * A) if (x * x - D) % (4 * A) == 0]) for A in range(1, amax + 1)]
-        got = [(A, sorted(xs)) for A, xs in oracle._sqrt_classes(D, amax)]
+        got = [(A, sorted(xs)) for A, xs in oracle._roots(oracle._residues(D, amax))]
         assert got == [(A, xs) for A, xs in brute if xs], (D, amax)
         assert oracle._root_count(oracle._residues(D, amax)) == sum(len(xs) for _, xs in brute)
     assert len(oracle._LPP) == 151
@@ -524,7 +524,6 @@ def test_tables_grow_out_of_order(fresh_tables, monkeypatch, limit):
 def test_tables_grow_to_the_largest_amax_only(fresh_tables):
     # bounded by the oracle bound, whatever the length of the sweep
     sample = large_sample()
-    enumerate_classes.cache_clear()
     for D in sample:
         narrow_ranks(D)
     largest = max(isqrt(-D // 3) if D < 0 else isqrt(D - 1) // 2 for D in sample)

@@ -1,3 +1,4 @@
+import random
 from math import prod
 from types import SimpleNamespace
 
@@ -123,6 +124,25 @@ def test_ranks_pinned_large(d, expected):
     # a conic point in a Holzer box of 5e5 to 1.5e6 cells, which the lattice
     # enumeration finds; the values were computed by the exhaustive cell loop
     assert ranks(d) == expected
+
+
+def test_r8_of_minus_p_follows_barrucand_cohn():
+    # d = -p with p = 1 mod 8: r4 = 1, and r8 = 1 iff (-4)^((p-1)/8) = 1 mod p
+    # (Barrucand and Cohn, 1969): a check of r8 at the ranks-large scale that
+    # does not go through the Redei matrices
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    primes = set()
+    while len(primes) < 60:
+        p = 8 * rng.randint(10**11 // 8, 10**12 // 8) + 1
+        if sympy.isprime(p):
+            primes.add(p)
+    r8s = set()
+    for p in sorted(primes):
+        expected = 1 if pow(-4, (p - 1) // 8, p) == 1 else 0
+        assert ranks(-p) == (1, 1, expected), p
+        r8s.add(expected)
+    assert r8s == {0, 1}
 
 
 def test_oracle_checked_examples():
