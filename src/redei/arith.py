@@ -321,12 +321,18 @@ def _int_class(q) -> int:
 
 
 def square_class(q) -> int:
-    """Canonical squarefree representative of q in Q*/Q*^2."""
-    n = _int_class(q)
-    if n == 0:
+    """Canonical squarefree representative of q in Q*/Q*^2.
+
+    A rational's coprime numerator and denominator are factored apart, and
+    its class is the product of theirs: as in hilbert_places, their product
+    can pass the factor cap where neither of them does."""
+    if not isinstance(q, int):
+        q = Fraction(q)
+        return square_class(q.numerator) * square_class(q.denominator)
+    if q == 0:
         raise ZeroInput("0 has no square class")
-    out = -1 if n < 0 else 1
-    for p, e in _factorization(abs(n), trial_bound):
+    out = -1 if q < 0 else 1
+    for p, e in _factorization(abs(q), trial_bound):
         if e % 2:
             out *= p
     return out
@@ -454,35 +460,15 @@ def signed_prime_decomposition(D: int) -> SignedPrimeDecomposition:
     return SignedPrimeDecomposition(odd_parts=odd, two_part=two_part)
 
 
-def padic_val(q, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
-    if not isinstance(q, int):
-        q = Fraction(q)
-        if q == 0:
-            raise ZeroInput("valuation of 0")
-        v = 0
-        d = q.denominator
-        while d % p == 0:
-            d //= p
-            v -= 1
-        q = q.numerator
-        if v:
-            return v + padic_val(q, p)
-    if q == 0:
+def padic_val(n: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer."""
+    if n == 0:
         raise ZeroInput("valuation of 0")
     v = 0
-    while q % p == 0:
-        q //= p
+    while n % p == 0:
+        n //= p
         v += 1
     return v
-
-
-def mod_p(q, p: int) -> int:
-    """Reduce a p-integral rational mod p."""
-    if isinstance(q, int):
-        return q % p
-    q = Fraction(q)
-    return q.numerator * pow(q.denominator, -1, p) % p
 
 
 def hilbert(a, b, v) -> int:
@@ -497,14 +483,8 @@ def hilbert(a, b, v) -> int:
     p = int(v)
     if p != v or p < 2 or factor(p) != [(p, 1)]:
         raise InvariantViolated(f"{v!r} is not a place of Q")
-    alpha = 0
-    while a % p == 0:
-        a //= p
-        alpha += 1
-    beta = 0
-    while b % p == 0:
-        b //= p
-        beta += 1
+    alpha, beta = padic_val(a, p), padic_val(b, p)
+    a, b = a // p**alpha, b // p**beta
     if p == 2:
         u, w = a % 8, b % 8
         exp = ((u - 1) // 2) * ((w - 1) // 2)

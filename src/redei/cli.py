@@ -27,6 +27,7 @@ from .errors import (
     InvalidTriple,
     NotFundamental,
     NotSquarefree,
+    ProductFormulaViolated,
     RedeiError,
     TrivialClass,
     ZeroInput,
@@ -192,7 +193,7 @@ def _product_item(pair) -> list:
     try:
         hilbert_product(a, b)
         return []
-    except RedeiError:
+    except ProductFormulaViolated:
         return [(a, b)]
 
 

@@ -9,9 +9,11 @@ function takes ``primes``: the odd p dividing a or b exactly once and neither
 of them twice, ascending.  ``solve_pair`` and ``enumerate_solutions`` read
 them once from factor(a) and factor(b), in ``_congruence_primes``;
 ``solve_pair_squarefree`` takes them from a caller that already knows them,
-and factors nothing.  ``_box_solutions`` lists the primitive points of a box
-whose x is at most the count-th least x, ties included, by one of two exact
-enumerations, which return the same list:
+and factors nothing on its way to a point: only the local symbols factor
+there, read by ``is_solvable`` when the Holzer box holds no point or a large
+box falls back to the cell scan.  ``_box_solutions`` lists the primitive
+points of a box whose x is at most the count-th least x, ties included, by one
+of two exact enumerations, which return the same list:
 
 * the cell scan walks each row z of the box from its first y with
   t = a*y^2 + b*z^2 >= 0, in the direction where t grows, tests t for a square,
@@ -337,7 +339,9 @@ def solve_pair(a: int, b: int) -> tuple[ConicSolution, ConicSolution]:
 def solve_pair_squarefree(a: int, b: int, primes) -> tuple[ConicSolution, ConicSolution]:
     """solve_pair(a, b) for a caller that knows primes (see the module
     docstring), which for squarefree a and b are the odd primes of ab,
-    ascending; nothing is factored."""
+    ascending.  Nothing is factored unless the local symbols are read: for an
+    empty Holzer box (NotSolvable or SearchExhausted), or a large box sent
+    back to the cell scan."""
     _nonzero(a, b)
     _, _, found = _holzer_points(a, b, 1, primes)
     x, z, y = min((x, z, y) for x, y, z in found)

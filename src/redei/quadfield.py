@@ -17,55 +17,50 @@ p = 2 mod 2^(d+1), which fixes (1 + sqrt a)/2 mod 2^d.  Which prime above p a
 local part is read at is decided from that pair.
 
 Where 2 is inert or ramified, both dyadic tests divide beta by squares of K*
-down to a 2-unit of O and read that unit's class: unramified_at_two asks
-whether it is a square mod 4O, looked up in the one table _unit_squares, and
-conductor_two_at_two whether it is +-1 mod 2O.
+down to a 2-unit of O = Z[t] and read that unit's coordinates in the basis 1, t
+(t = (1 + sqrt a)/2 for an odd discriminant, else sqrt a): unramified_at_two
+asks whether it is a square mod 4O, looked up in the one table _unit_squares,
+and conductor_two_at_two whether it is +-1 mod 2O.
 
-Element coordinates have one normal form: an int when the coordinate is
-integral and a Fraction otherwise.  The conic witnesses t(x + y sqrt a) and
-nearly everything derived from them are integral, so they run on ints; a
-division yields a Fraction only when it is inexact.
+Elements have int coordinates.  The conic witnesses t(x + y sqrt a) are
+integral, and every square class of K* holds integral elements, since
+beta * d**2 has the class of beta; so no rational is ever needed, and a
+division that is not exact is an error.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .arith import CACHE_SIZE, discriminant, kronecker, mod_p, padic_val, sqrt_mod_p
+from .arith import CACHE_SIZE, discriminant, kronecker, padic_val, sqrt_mod_p
 from .errors import InvariantViolated, NotTwoUnit, WrongDiscriminantClass, ZeroInput
 
 
-def _normal(q):
-    """The rational q as an int when it is integral, else as a Fraction."""
-    if type(q) is int:
-        return q
-    q = Fraction(q)
-    return q.numerator if q.denominator == 1 else q
-
-
-def _exact_div(x, q):
-    """x / q for rationals x and q != 0, in the normal form of _normal."""
-    if type(x) is int and type(q) is int:
-        quo, rem = divmod(x, q)
-        return quo if rem == 0 else Fraction(x, q)
-    return _normal(Fraction(x) / Fraction(q))
+def _integer(q) -> int:
+    """The coordinate q as an int; InvariantViolated unless its value is an integer."""
+    try:
+        n = int(q)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != q:
+        raise InvariantViolated(f"coordinate {q!r} is not an integer")
+    return n
 
 
 class QuadElt:
-    """x + y*sqrt(a) with exact rational coordinates.
+    """x + y*sqrt(a) with int coordinates, an element of Z[sqrt a].
 
-    Each coordinate is an int when it is integral and a Fraction otherwise, so
-    QuadElt(Fraction(6, 2), 0, a).x is 3.  Equality and hashing are those of the
-    rationals, since Fraction(3) == 3 and the two hash alike.
+    A coordinate of another numeric type whose value is an integer is stored
+    as that int; any other value raises InvariantViolated.  Every square class
+    of Q(sqrt a)* holds such elements: beta * d**2 has the class of beta.
     """
 
     __slots__ = ("x", "y", "a")
 
     def __init__(self, x, y, a):
-        self.x = x if type(x) is int else _normal(x)
-        self.y = y if type(y) is int else _normal(y)
+        self.x = x if type(x) is int else _integer(x)
+        self.y = y if type(y) is int else _integer(y)
         self.a = a if type(a) is int else int(a)
 
     def __repr__(self):
@@ -88,8 +83,8 @@ class QuadElt:
     def conjugate(self) -> "QuadElt":
         return QuadElt(self.x, -self.y, self.a)
 
-    def norm(self):
-        """x^2 - a y^2; an int for an element with int coordinates."""
+    def norm(self) -> int:
+        """x^2 - a y^2."""
         return self.x * self.x - self.a * self.y * self.y
 
     def __neg__(self):
@@ -100,8 +95,7 @@ class QuadElt:
             if other.a != self.a:
                 raise InvariantViolated(f"{self} and {other} lie in different fields")
             return QuadElt(self.x + other.x, self.y + other.y, self.a)
-        q = other if type(other) is int else Fraction(other)
-        return QuadElt(self.x + q, self.y, self.a)
+        return QuadElt(self.x + other, self.y, self.a)
 
     def __sub__(self, other):
         return self + -other
@@ -115,19 +109,24 @@ class QuadElt:
                 self.x * other.y + self.y * other.x,
                 self.a,
             )
-        q = other if type(other) is int else Fraction(other)
-        return QuadElt(self.x * q, self.y * q, self.a)
+        return QuadElt(self.x * other, self.y * other, self.a)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        """Exact division by an int, or by a QuadElt through its conjugate and
+        norm; InvariantViolated when the quotient is not integral."""
         if isinstance(other, QuadElt):
             n = other.norm()
             if n == 0:
                 raise ZeroDivisionError("division by a zero-norm element")
             num = self * other.conjugate()
-            return QuadElt(_exact_div(num.x, n), _exact_div(num.y, n), self.a)
-        return QuadElt(_exact_div(self.x, other), _exact_div(self.y, other), self.a)
+        else:
+            num, n = self, other
+        (x, rx), (y, ry) = divmod(num.x, n), divmod(num.y, n)
+        if rx or ry:
+            raise InvariantViolated(f"{self} / {other} is not integral")
+        return QuadElt(x, y, self.a)
 
 
 def _hensel_sqrt_odd(a: int, p: int, k: int) -> int:
@@ -154,14 +153,11 @@ def _hensel_sqrt_2(a: int, k: int) -> int:
     return r % (1 << k)
 
 
-def _content(x, y, p: int) -> tuple[int, int, int, int]:
-    """(u, w, d, m) with (x, y) = p**m * (u, w) / d, for rationals x, y not both 0:
-    ints u, w with no common factor p, d > 0 prime to p, and m the least v_p(x),
-    v_p(y), which is negative when p divides a denominator."""
-    d = x.denominator * y.denominator
-    u, w = x.numerator * y.denominator, y.numerator * x.denominator
-    m, e = padic_val(gcd(u, w), p), padic_val(d, p)
-    return u // p**m, w // p**m, d // p**e, m - e
+def _content(x: int, y: int, p: int) -> tuple[int, int, int]:
+    """(u, w, m) with (x, y) = p**m * (u, w), for ints x, y not both 0: m the
+    least of v_p(x), v_p(y), so p does not divide both u and w."""
+    m = padic_val(gcd(x, y), p)
+    return x // p**m, y // p**m, m
 
 
 def split_units(
@@ -170,10 +166,12 @@ def split_units(
     """((v, u), (v', u')): the valuation of beta and its unit part mod
     p**unit_digits at the canonical prime above a split p, then at its conjugate.
 
-    With m the p-content of beta, in the basis 1, theta = (1 + sqrt a)/2 at
-    p = 2, the two embeddings of beta / p**m differ by a unit times a
-    coordinate prime to p, so at most one of them is a non-unit.  That one's
-    unit part is N(beta) / p**v_p(N beta) over the other embedding.
+    beta is integral; a rational element has the class of an integral one
+    (beta * d**2), which is all a residue symbol reads.  With m the p-content
+    of beta, in the basis 1, theta = (1 + sqrt a)/2 at p = 2, the two
+    embeddings of beta / p**m differ by a unit times a coordinate prime to p,
+    so at most one of them is a non-unit.  That one's unit part is
+    N(beta) / p**v_p(N beta) over the other embedding.
     """
     a, mod = beta.a, p**unit_digits
     if unit_digits < 1:
@@ -192,18 +190,16 @@ def split_units(
         x, y = beta.x, beta.y
         s = _hensel_sqrt_odd(a, p, unit_digits)  # sqrt a at the canonical prime
         s_conj = -s
-    u, w, d, m = _content(x, y, p)
+    u, w, m = _content(x, y, p)
     num, num_conj = u + w * s, u + w * s_conj
-    d_inv = pow(d, -1, mod)
     if num % p and num_conj % p:
-        return (m, num * d_inv % mod), (m, num_conj * d_inv % mod)
+        return (m, num % mod), (m, num_conj % mod)
     norm = beta.norm()
     v = padic_val(norm, p)
-    norm = _exact_div(norm, p**v) if v >= 0 else norm * p**-v
-    norm = mod_p(norm, mod) * d
+    norm //= p**v
     if num % p:
-        return (m, num * d_inv % mod), (v - m, norm * pow(num, -1, mod) % mod)
-    return (v - m, norm * pow(num_conj, -1, mod) % mod), (m, num_conj * d_inv % mod)
+        return (m, num % mod), (v - m, norm * pow(num, -1, mod) % mod)
+    return (v - m, norm * pow(num_conj, -1, mod) % mod), (m, num_conj % mod)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +207,7 @@ def split_units(
 # ---------------------------------------------------------------------------
 
 
-def _theta_coords(beta: QuadElt) -> tuple[int | Fraction, int | Fraction]:
+def _theta_coords(beta: QuadElt) -> tuple[int, int]:
     # coordinates w.r.t. theta = (1 + sqrt a)/2: x + y sqrt(a) = (x - y) + 2y * theta
     return beta.x - beta.y, 2 * beta.y
 
@@ -229,29 +225,26 @@ def _unit_squares(e: int, f: int) -> frozenset:
     return frozenset(squares)
 
 
-def _reduce_two_unit(beta: QuadElt) -> QuadElt:
-    """Divide beta by squares of K_a* until it is a 2-unit of O; NotTwoUnit if impossible."""
+def _reduce_two_unit(beta: QuadElt) -> tuple[int, int, int, int]:
+    """(x, y, e, f): beta divided by squares of K_a* down to a 2-unit x + y*t
+    of O = Z[t], t^2 = e*t + f, for an integral beta; NotTwoUnit if impossible."""
     if beta.is_zero():
         raise ZeroInput("not a field element")
     a = beta.a
     if discriminant(a) % 2:
         # O = Z[theta] and 2 splits or is inert: with m the 2-content in the
         # basis 1, theta, beta / 2**m is a 2-unit iff v_2(N beta) = 2m
-        m = _content(*_theta_coords(beta), 2)[3]
+        x, y, m = _content(*_theta_coords(beta), 2)
         if m % 2 or padic_val(beta.norm(), 2) != 2 * m:
             raise NotTwoUnit("odd or unequal valuations at the dyadic primes")
-        return beta / 2**m if m >= 0 else beta * 2**-m
-    # 2 is ramified and v_frak(beta) = v_2(norm).  With omega^2 = a or
-    # (1 + sqrt a)^2, each step is beta / omega^2 times the odd square
-    # (a/2)^2 or ((1 - a)/2)^2, so it lowers v_frak by 2, keeps the class
-    # mod 4O and divides exactly: ints stay ints
+        return x, y, 1, (a - 1) // 4
+    # 2 is ramified, O = Z[sqrt a] and v_frak(beta) = v_2(norm).  With
+    # omega^2 = a or (1 + sqrt a)^2, each step is beta / omega^2 times the odd
+    # square (a/2)^2 or ((1 - a)/2)^2, so it lowers v_frak by 2, keeps the
+    # class mod 4O and divides exactly
     v = padic_val(beta.norm(), 2)
     if v % 2:
         raise NotTwoUnit("odd dyadic valuation at the ramified prime")
-    if v < 0:
-        # 2 divides a coordinate denominator; v_frak(4) = 4, so a power of 4 clears it
-        k = (3 - v) // 4
-        beta, v = beta * 4**k, v + 4 * k
     if a % 2 == 0:
         for _ in range(v // 2):
             beta = beta * (a // 2) / 2
@@ -259,37 +252,34 @@ def _reduce_two_unit(beta: QuadElt) -> QuadElt:
         conj_sq = QuadElt(1 + a, -2, a)  # (1 - sqrt a)^2
         for _ in range(v // 2):
             beta = beta * conj_sq / 4
-    return beta
+    return beta.x, beta.y, 0, a
 
 
 def unramified_at_two(elt: QuadElt) -> bool:
-    """Does E(sqrt elt) stay unramified over 2, for elt over Q(sqrt s), other radicand odd?"""
-    s = elt.a
-    if s % 8 == 1:
+    """Does E(sqrt elt) stay unramified over 2, for an integral elt over
+    Q(sqrt s), other radicand odd?  A rational elt has the class of the
+    integral elt * d**2, and the answer depends on the class alone."""
+    if elt.a % 8 == 1:
         # even valuation and unit = 1 mod 4 at both dyadic primes
         return all(v % 2 == 0 and u == 1 for v, u in split_units(elt, 2, 2))
     try:
-        beta = _reduce_two_unit(elt)
+        x, y, e, f = _reduce_two_unit(elt)
     except NotTwoUnit:
         return False
-    # is the reduced 2-unit a square mod 4O?  In the basis 1, t with
-    # t^2 = e*t + f: t = sqrt s, or theta when s is odd
-    if discriminant(s) % 2:
-        (x, y), e, f = _theta_coords(beta), 1, (s - 1) // 4
-    else:
-        (x, y), e, f = (beta.x, beta.y), 0, s
-    return (mod_p(x, 4), mod_p(y, 4)) in _unit_squares(e, f % 4)
+    # is the reduced 2-unit a square mod 4O?
+    return (x % 4, y % 4) in _unit_squares(e, f % 4)
 
 
 def conductor_two_at_two(elt: QuadElt) -> bool:
-    """True iff some +-elt*s^2 lies in 1 + 2O, for elt over Q(sqrt a), a = 3 mod 4
-    (discriminant 4 mod 8)."""
+    """True iff some +-elt*s^2 lies in 1 + 2O, for an integral elt over
+    Q(sqrt a), a = 3 mod 4 (discriminant 4 mod 8); a rational elt has the
+    class of the integral elt * d**2."""
     a = elt.a
     if a % 4 != 3:
         raise WrongDiscriminantClass(f"conductor-2 test needs a = 3 mod 4, got {a}")
     try:
-        beta = _reduce_two_unit(elt)
+        x, y, _, _ = _reduce_two_unit(elt)
     except NotTwoUnit:
         return False
     # (O/2O)* = {1, sqrt a}; squares and signs land on 1, so test the raw class
-    return mod_p(beta.x, 2) == 1 and mod_p(beta.y, 2) == 0
+    return x % 2 == 1 and y % 2 == 0

@@ -129,6 +129,9 @@ def _violations(a: _Arg, b: _Arg, c: _Arg):
                 yield Violation("hilbert", slot, pair, p)
 
 
+# _is_valid stays beside _violations: rejection sampling draws hundreds of
+# candidates per accepted triple, and the first violation of the generator,
+# which yields in the pinned report order, costs about four times as much
 def _is_valid(a: _Arg, b: _Arg, c: _Arg) -> bool:
     """The conditions of _violations, cheapest first."""
     if a.negative + b.negative + c.negative > 1:

@@ -245,6 +245,16 @@ def test_hilbert_places_of_a_rational_past_the_factor_cap():
     assert hilbert_product(Fraction(p, q), 3) == 1
 
 
+def test_square_class_of_a_rational_past_the_factor_cap():
+    # the same primes: the class of p/q is read from p and q apart, as the
+    # coprime numerator and denominator of a rational always may be
+    p, q = 16777259, 16777289
+    assert square_class(Fraction(p, q)) == p * q
+    assert square_class(Fraction(-4 * q, 9 * p)) == -p * q
+    with pytest.raises(FactorLimitExceeded):
+        square_class(p * q)
+
+
 def test_one_cache_policy():
     # every memo is bounded at CACHE_SIZE, except the residue table (at most a
     # handful of entries) and the CLI parser

@@ -203,6 +203,34 @@ def test_other_library_error_exit_6(capsys, monkeypatch):
     assert err == "error: no point in the box\n"
 
 
+def test_verify_product_formula_library_error_exits_4(capsys, monkeypatch):
+    # only a failed product formula is a counterexample; a library error in
+    # the sweep exits with its own code
+    from redei import cli
+    from redei.errors import FactorLimitExceeded
+
+    def fail(a, b):
+        raise FactorLimitExceeded("cofactor too large")
+
+    monkeypatch.setattr(cli, "hilbert_product", fail)
+    code, out, err = run(capsys, "verify", "product-formula", "--max", "3")
+    assert (code, out) == (4, "")
+    assert err == "factorization limit: cofactor too large\n"
+
+
+def test_verify_product_formula_violation_exits_1(capsys, monkeypatch):
+    from redei import cli
+    from redei.errors import ProductFormulaViolated
+
+    def fail(a, b):
+        raise ProductFormulaViolated(f"product formula failed for ({a}, {b})")
+
+    monkeypatch.setattr(cli, "hilbert_product", fail)
+    code, out, _ = run(capsys, "verify", "product-formula", "--max", "3")
+    assert code == 1
+    assert out.startswith("product-formula: 3 items checked, 3 violations\n")
+
+
 def test_verify_oracle_decomposes_each_discriminant_once(capsys, monkeypatch):
     from redei import arith, redeimatrix
 

@@ -1,10 +1,11 @@
+import random
 from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from redei import conic
+from redei import arith, conic
 from redei.arith import factor, square_class
 from redei.conic import (
     LATTICE_CELLS,
@@ -325,6 +326,33 @@ def test_conic_factors_once_per_coefficient(monkeypatch):
     calls.clear()
     solve_pair_squarefree(-4999, 2474, [1237, 4999])
     assert calls == []
+
+
+def test_solve_pair_squarefree_factors_only_for_the_local_symbols(monkeypatch):
+    # a solvable squarefree pair finds its point without factoring; only an
+    # empty box reads the local symbols, whose places are factored
+    rng = random.Random(7)
+    pairs = []
+    while len(pairs) < 100:
+        size = 10 ** rng.randint(1, 9)
+        a, b = (rng.randint(2, size) * rng.choice((1, -1)) for _ in range(2))
+        if square_class(a) == a and square_class(b) == b and conic.is_solvable(a, b):
+            primes = sorted({p for n in (a, b) for p, _ in factor(n) if p != 2})
+            pairs.append((a, b, primes))
+    calls = []
+
+    def counting_factor(n, *args):
+        calls.append(n)
+        return factor(n, *args)
+
+    monkeypatch.setattr(arith, "factor", counting_factor)
+    monkeypatch.setattr(conic, "factor", counting_factor)
+    for a, b, primes in pairs:
+        solve_pair_squarefree(a, b, primes)
+    assert calls == []
+    with pytest.raises(NotSolvable):
+        solve_pair_squarefree(3, 5, [3, 5])
+    assert calls
 
 
 def test_empty_box_reads_the_local_symbols(monkeypatch):
