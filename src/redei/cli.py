@@ -4,7 +4,7 @@ JSON output (--json) is versioned ("schema": 1) and byte-deterministic: identica
 invocations produce identical bytes, so timing is only emitted on request
 (--timing) or in the human-readable text. Exit codes: 0 ok, 1 verification
 counterexample, 2 invalid triple, 3 degenerate arguments, 4 factorization limit,
-5 bad input, 6 any other library error.
+5 bad input (a malformed command line included), 6 any other library error.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
     TrivialClass,
     ZeroInput,
 )
-from .oracle import narrow_ranks
+from .oracle import DEFAULT_ORACLE_BOUND, narrow_ranks
 from .redeimatrix import fundamental_discriminant, governing_r4_check, r2, r4, r8, ranks
 from .symbol import is_valid_triple, redei_symbol, verify_reciprocity, verify_twist_independence
 
@@ -78,12 +78,11 @@ def _place_key(v) -> str:
     return "infinity" if v is INFINITY else str(v)
 
 
-def cmd_symbol(args) -> int:
-    t0 = time.monotonic()
+# Each command returns (record, text, exit code), and main adds the envelope:
+# "schema", "command" and, under --timing, "timing_ms".
+def cmd_symbol(args) -> tuple[dict, str, int]:
     trace = redei_symbol(args.a, args.b, args.c)
     record = {
-        "schema": SCHEMA,
-        "command": "symbol",
         "inputs": {"a": args.a, "b": args.b, "c": args.c},
         "canonical": {"a": trace.a, "b": trace.b, "c": trace.c},
         "result": trace.value,
@@ -105,20 +104,14 @@ def cmd_symbol(args) -> int:
             )
         for v in sorted(trace.parts, key=_place_key):
             lines.append(f"part at {_place_key(v)}: {trace.parts[v]:+d}")
-    if args.timing:
-        record["timing_ms"] = round(1000 * (time.monotonic() - t0), 3)
-    _emit(record, args.json, "\n".join(lines))
-    return EXIT_OK
+    return record, "\n".join(lines), EXIT_OK
 
 
-def cmd_ranks(args) -> int:
-    t0 = time.monotonic()
+def cmd_ranks(args) -> tuple[dict, str, int]:
     d = square_class(args.d)
     D = fundamental_discriminant(d)
     r = ranks(d)
     record = {
-        "schema": SCHEMA,
-        "command": "ranks",
         "inputs": {"d": args.d},
         "canonical": {"d": d, "D": D},
         "result": {"r2": r[0], "r4": r[1], "r8": r[2]},
@@ -129,12 +122,9 @@ def cmd_ranks(args) -> int:
         record["oracle"] = {"r2": o[0], "r4": o[1], "r8": o[2], "match": o == r}
         text += f"\noracle: r2 = {o[0]}, r4 = {o[1]}, r8 = {o[2]}"
         text += " (match)" if o == r else " (MISMATCH)"
-    if args.timing:
-        record["timing_ms"] = round(1000 * (time.monotonic() - t0), 3)
-    _emit(record, args.json, text)
-    if args.oracle and not record["oracle"]["match"]:
-        return EXIT_COUNTEREXAMPLE
-    return EXIT_OK
+        if o != r:
+            return record, text, EXIT_COUNTEREXAMPLE
+    return record, text, EXIT_OK
 
 
 # --- verification sweeps ----------------------------------------------------
@@ -166,6 +156,8 @@ def _reciprocity_item(triple) -> list:
 
 
 def _oracle_work(bound: int, seed: int) -> list:
+    if bound > DEFAULT_ORACLE_BOUND:  # checked first: the list grows with the bound
+        raise BoundExceeded(f"--max {bound} exceeds the oracle bound {DEFAULT_ORACLE_BOUND}")
     return [D for D in range(-bound, bound + 1) if arith.is_fundamental_discriminant(D)]
 
 
@@ -248,32 +240,36 @@ def _map_jobs(fn, work, jobs):
         yield from pool.map(fn, work, chunksize=max(1, len(work) // (8 * jobs)))
 
 
-def cmd_verify(args) -> int:
-    t0 = time.monotonic()
+def cmd_verify(args) -> tuple[dict, str, int]:
     work_of, item, default_max = _SUITES[args.suite]
     n = args.max if args.max is not None else default_max
+    if n < 0:
+        raise BoundExceeded(f"--max {n} is negative")
     work = work_of(n, args.seed)
     checked = len(work)
     violations = sorted(v for out in _map_jobs(item, work, args.jobs) for v in out)
     record = {
-        "schema": SCHEMA,
-        "command": "verify",
         "inputs": {"suite": args.suite, "max": n, "seed": args.seed},
         "checked": checked,
         "violations": [list(map(str, v)) if isinstance(v, tuple) else v for v in violations],
         "result": "ok" if not violations else "fail",
     }
-    if args.timing:
-        record["timing_ms"] = round(1000 * (time.monotonic() - t0), 3)
     text = f"{args.suite}: {checked} items checked, {len(violations)} violations"
     if violations:
         text += f"\nfirst counterexample: {violations[0]}"
-    _emit(record, args.json, text)
-    return EXIT_COUNTEREXAMPLE if violations else EXIT_OK
+    return record, text, EXIT_COUNTEREXAMPLE if violations else EXIT_OK
+
+
+class _Parser(argparse.ArgumentParser):
+    """Exits 5, bad input, on a usage error, where argparse exits 2: an invalid triple."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="redei",
         description="Redei symbols [a,b,c] and 2/4/8-ranks of narrow quadratic class groups.",
         epilog="Negative arguments parse directly (e.g. `redei symbol -20 41 5`); "
@@ -289,15 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_symbol.add_argument("b", type=int)
     p_symbol.add_argument("c", type=int)
     p_symbol.add_argument("--trace", action="store_true", help="print local parts and witness")
-    p_symbol.add_argument("--json", action="store_true")
-    p_symbol.add_argument("--timing", action="store_true")
     p_symbol.set_defaults(fn=cmd_symbol)
 
     p_ranks = sub.add_parser("ranks", help="(r2, r4, r8) for squarefree d")
     p_ranks.add_argument("d", type=int)
     p_ranks.add_argument("--oracle", action="store_true", help="cross-check with the form oracle")
-    p_ranks.add_argument("--json", action="store_true")
-    p_ranks.add_argument("--timing", action="store_true")
     p_ranks.set_defaults(fn=cmd_ranks)
 
     p_verify = sub.add_parser(
@@ -320,9 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="seed of the sampled suites, product-formula and twist-independence",
     )
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument("--timing", action="store_true")
     p_verify.set_defaults(fn=cmd_verify)
+    for p in (p_symbol, p_ranks, p_verify):
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--timing", action="store_true")
     return parser
 
 
@@ -337,7 +330,8 @@ def main(argv=None) -> int:
     saved = arith.trial_bound
     try:
         arith.trial_bound = arith._trial_bound()
-        return args.fn(args)
+        t0 = time.monotonic()
+        record, text, code = args.fn(args)
     except RedeiError as exc:
         code, prefix = next(row[1:] for row in _EXITS if isinstance(exc, row[0]))
         for line in exc.violations if isinstance(exc, InvalidTriple) else [exc]:
@@ -345,6 +339,11 @@ def main(argv=None) -> int:
         return code
     finally:
         arith.trial_bound = saved
+    record = {"schema": SCHEMA, "command": args.command, **record}
+    if args.timing:
+        record["timing_ms"] = round(1000 * (time.monotonic() - t0), 3)
+    _emit(record, args.json, text)
+    return code
 
 
 if __name__ == "__main__":

@@ -90,18 +90,6 @@ def _reduce_definite(A: int, B: int, C: int) -> tuple[int, int, int]:
         return A, B, C
 
 
-def _is_reduced_indefinite(A: int, B: int, C: int, D: int) -> bool:
-    if B <= 0 or B * B >= D:
-        return False
-    twoa = 2 * abs(A)
-    # sqrt(D) - B < 2|A| < sqrt(D) + B, with sqrt(D) irrational
-    if (twoa + B) ** 2 <= D:
-        return False
-    if twoa > B and (twoa - B) ** 2 >= D:
-        return False
-    return True
-
-
 def _rho(A: int, B: int, C: int, D: int, isq: int) -> tuple[int, int, int]:
     """One reduction step (A,B,C) -> (C, B', C')."""
     ac = abs(C)
@@ -163,7 +151,7 @@ class ClassGroup:
     def __init__(self, D: int, reps: list[tuple[int, int, int]], canon: dict | None = None):
         self.D = D
         self._reps = reps
-        self._canon = canon  # D > 0: reduced form tuple -> canonical tuple
+        self._canon = canon  # D > 0: every reduced form -> its canonical tuple
         self._isq = isqrt(D) if D > 0 else 0
         b0 = D % 2
         self._identity = self._reduce((1, b0, (b0 * b0 - D) // 4))
@@ -180,15 +168,15 @@ class ClassGroup:
             if form[0] < 0:
                 raise InvariantViolated(f"{form} is negative definite")
             return _reduce_definite(*form)
-        isq = self._isq
+        canon, isq = self._canon, self._isq
         f = form
         seen = set()
-        while not _is_reduced_indefinite(*f, D):
+        while f not in canon:  # rho ends on a reduced form: a key of _canon
             if f in seen:
                 raise InvariantViolated(f"reduction of {form} did not terminate")
             seen.add(f)
             f = _rho(*f, D, isq)
-        return self._canon[f]
+        return canon[f]
 
 
 # Residue tables shared by every D, grown on first use to the largest amax any D
@@ -360,8 +348,9 @@ def enumerate_classes(D: int, bound: int = DEFAULT_ORACLE_BOUND) -> ClassGroup:
     left = _root_count(residues)  # one start form per root x mod 2A, see below
     canon, reps = {}, []
     for A, xs in _roots(residues):
-        # B in [s + 1 - 2A, s] is exactly _is_reduced_indefinite given
-        # 2A < sqrt(D): B*B < D is B <= s and sqrt(D) - B < 2A is B >= s + 1 - 2A.
+        # (A, B, C) is reduced when 0 < B < sqrt(D) and
+        # sqrt(D) - B < 2|A| < sqrt(D) + B.  Given 2A < sqrt(D), that is B in
+        # [s + 1 - 2A, s]: B*B < D is B <= s and sqrt(D) - B < 2A is B >= s + 1 - 2A.
         # That range holds one B per root, and B >= 1 as 2A <= isqrt(D - 1).
         # Primitivity holds as for D < 0.
         twoa = 2 * A

@@ -44,24 +44,31 @@ def r2(D: int) -> int:
     return build_R4(D).t - 1
 
 
-class RedeiMatrixR4(namedtuple("RedeiMatrixR4", "D row_labels col_labels rows")):
+class _BitmaskMatrix(namedtuple("_BitmaskMatrix", "D row_labels col_labels rows")):
+    """An F2 matrix of D: each row a bitmask over the columns col_labels."""
+
+    __slots__ = ()
+
+    def entry(self, i: int, j: int) -> int:
+        return (self.rows[i] >> j) & 1
+
+    def as_lists(self) -> list[list[int]]:
+        cols = range(len(self.col_labels))
+        return [[self.entry(i, j) for j in cols] for i in range(len(self.rows))]
+
+    def rank(self) -> int:
+        return gf2.rank(list(self.rows), len(self.col_labels))
+
+
+class RedeiMatrixR4(_BitmaskMatrix):
     """The 4-rank matrix of D: rows labelled by the signed prime discriminants,
-    columns by the ramified primes, each row a bitmask."""
+    columns by the ramified primes."""
 
     __slots__ = ()
 
     @property
     def t(self) -> int:
         return len(self.row_labels)
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
-    def as_lists(self) -> list[list[int]]:
-        return [[self.entry(i, j) for j in range(self.t)] for i in range(self.t)]
-
-    def rank(self) -> int:
-        return gf2.rank(list(self.rows), self.t)
 
 
 def _part_prime(part: int) -> int:
@@ -122,25 +129,15 @@ def second_kind_decompositions(D: int) -> list[SecondKindDecomposition]:
     return out
 
 
-class RedeiMatrixR8(namedtuple("RedeiMatrixR8", "D row_labels col_labels rows")):
+class RedeiMatrixR8(_BitmaskMatrix):
     """The 8-rank matrix of D: rows labelled by second-kind decompositions,
-    columns by squarefree divisors m | D, each row a bitmask."""
+    columns by squarefree divisors m | D."""
 
     __slots__ = ()
 
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.row_labels), len(self.col_labels)
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
-    def as_lists(self) -> list[list[int]]:
-        n, m = self.shape
-        return [[self.entry(i, j) for j in range(m)] for i in range(n)]
-
-    def rank(self) -> int:
-        return gf2.rank(list(self.rows), len(self.col_labels))
 
 
 def _divisor_record(m4: RedeiMatrixR4, mask: int):

@@ -167,11 +167,15 @@ def test_verify_twist_independence_small(capsys):
 
 
 def test_verify_governing_small(capsys):
-    # a negative --max is an empty sweep of primes, as in the other suites
-    for bound in ("300", "-5"):
-        code, out, _ = run(capsys, "verify", "governing", "--max", bound, "--json")
-        assert code == 0
-        assert json.loads(out)["result"] == "ok"
+    code, out, _ = run(capsys, "verify", "governing", "--max", "300", "--json")
+    assert code == 0
+    assert json.loads(out)["result"] == "ok"
+    # a negative --max is bad input, as in the other suites
+    assert run(capsys, "verify", "governing", "--max", "-5", "--json") == (
+        5,
+        "",
+        "bad input: --max -5 is negative\n",
+    )
 
 
 @pytest.mark.parametrize(
@@ -249,3 +253,59 @@ def test_verify_oracle_decomposes_each_discriminant_once(capsys, monkeypatch):
     rec = json.loads(out)
     assert rec["checked"] == 12160
     assert sorted(calls) == sorted(set(calls)) and len(calls) == rec["checked"]
+
+
+@pytest.mark.parametrize(
+    "argv", [("symbol", "x", "2", "3"), ("ranks",), ("verify", "nosuch")], ids=["x", "none", "suite"]
+)
+def test_usage_error_exit_5(capsys, argv):
+    # argparse's own code, 2, is the code of an invalid triple
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 5
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: redei") and "error: " in err
+    assert run(capsys, "symbol", "3", "3", "5")[0] == 2
+
+
+def test_verify_bounds_checked_before_any_work(capsys, monkeypatch):
+    from redei import arith
+
+    calls = 0
+    real = arith.is_fundamental_discriminant
+
+    def counted(D):
+        nonlocal calls
+        calls += 1
+        return real(D)
+
+    monkeypatch.setattr(arith, "is_fundamental_discriminant", counted)
+    code, out, err = run(capsys, "verify", "oracle", "--max", "2000000")
+    assert (code, out, calls) == (5, "", 0)
+    assert err == "bad input: --max 2000000 exceeds the oracle bound 1000000\n"
+    code, out, err = run(capsys, "verify", "reciprocity", "--max", "-1")
+    assert (code, out, err) == (5, "", "bad input: --max -1 is negative\n")
+
+
+ENVELOPES = {
+    "symbol": (("symbol", "-20", "41", "5"), {"inputs", "canonical", "result"}),
+    "ranks": (("ranks", "-205"), {"inputs", "canonical", "result"}),
+    "verify": (
+        ("verify", "reciprocity", "--max", "6"),
+        {"inputs", "checked", "violations", "result"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ENVELOPES))
+def test_record_envelope(capsys, command):
+    argv, keys = ENVELOPES[command]
+    code, out, _ = run(capsys, *argv, "--json")
+    rec = json.loads(out)
+    assert code == 0
+    assert set(rec) == keys | {"schema", "command"}
+    assert (rec["schema"], rec["command"]) == (1, command)
+    code, out, _ = run(capsys, *argv, "--json", "--timing")
+    timed = json.loads(out)
+    assert code == 0 and set(timed) == set(rec) | {"timing_ms"}
+    assert isinstance(timed["timing_ms"], float) and timed["timing_ms"] >= 0

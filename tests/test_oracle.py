@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from redei import oracle
 from redei.arith import is_fundamental_discriminant, kronecker, signed_prime_decomposition
 from redei.errors import BoundExceeded, InvariantViolated, NotFundamental
-from redei.oracle import _cycle, _is_reduced_indefinite, enumerate_classes, narrow_ranks
+from redei.oracle import _cycle, enumerate_classes, narrow_ranks
 from redei.redeimatrix import r2, r4, r8
 
 
@@ -115,6 +115,18 @@ def ref_enumerate_definite(D: int) -> list[tuple[int, int, int]]:
                 continue
             out.append((A, B, C))
     return out
+
+
+def _is_reduced_indefinite(A: int, B: int, C: int, D: int) -> bool:
+    if B <= 0 or B * B >= D:
+        return False
+    twoa = 2 * abs(A)
+    # sqrt(D) - B < 2|A| < sqrt(D) + B, with sqrt(D) irrational
+    if (twoa + B) ** 2 <= D:
+        return False
+    if twoa > B and (twoa - B) ** 2 >= D:
+        return False
+    return True
 
 
 def ref_enumerate_indefinite(D: int) -> list[tuple[int, int, int]]:
@@ -322,6 +334,37 @@ def test_cycle_matches_rho_walk():
                 cyc = ref_cycle(f, D)
                 assert _cycle(f, D, isq) == cyc, (D, f)
                 seen.update(cyc)
+
+
+def ref_reduce_indefinite(form, D: int):
+    """The least form of the cycle that rho reaches from `form`."""
+    isq, f, steps = isqrt(D), form, 0
+    while not _is_reduced_indefinite(*f, D):
+        steps += 1
+        assert steps < 10**4, (D, form)
+        f = oracle._rho(*f, D, isq)
+    return min(ref_cycle(f, D))
+
+
+def test_reduce_matches_rho_to_a_reduced_form():
+    # forms (A, B, C) with A of either sign and B*B = D mod 4|A|, mostly unreduced
+    rng = random.Random(1031)
+    sample = [D for D in range(5, 3000) if is_fundamental_discriminant(D)]
+    sample += [D for D in range(10**6 - 40, 10**6) if is_fundamental_discriminant(D)]
+    unreduced = 0
+    for D in sample:
+        group = enumerate_classes(D)
+        for _ in range(4):
+            A = rng.randint(1, 200)
+            xs = [x for x in range(2 * A) if (x * x - D) % (4 * A) == 0]
+            if not xs:
+                continue
+            B = rng.choice(xs) + 2 * A * rng.randint(-3, 3)
+            A *= rng.choice((1, -1))
+            form = (A, B, (B * B - D) // (4 * A))
+            unreduced += not _is_reduced_indefinite(*form, D)
+            assert group._reduce(form) == ref_reduce_indefinite(form, D), (D, form)
+    assert unreduced > 1000
 
 
 # --- the group's reps, identity and law on canonical tuples, against the references
