@@ -1,14 +1,15 @@
 """Exact integer arithmetic: factorization, square classes, Kronecker and Hilbert symbols.
 
-All values live in Q, represented as int or fractions.Fraction; a square class is
-always its canonical representative, a nonzero squarefree integer.
+Every value is an int: a square class of Q*/Q*^2 is its canonical
+representative, a nonzero squarefree integer.  Each entry reads its arguments
+through _integer, which takes an integral value of any type as its int and
+raises InvariantViolated on anything else, so no argument is truncated.
 """
 
 from __future__ import annotations
 
 import os
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 from math import gcd, isqrt, prod
@@ -97,6 +98,17 @@ _RHO_STEPS = 64
 # D: they grow to the largest A asked for, so the oracle bound bounds them
 # (about 55 KB at the default bound, 4 MB at 10**8, under 8 MB at any bound).
 CACHE_SIZE = 4096
+
+
+def _integer(q) -> int:
+    """q as an int; InvariantViolated unless its value is an integer."""
+    try:
+        n = int(q)
+        if n == q:
+            return n
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvariantViolated(f"{q!r} is not an integer")
 
 
 def _trial_bound() -> int:
@@ -298,37 +310,19 @@ def factor(n: int, bound: int | None = None) -> list[tuple[int, int]]:
     certified prime.  Every prime returned is below bound**2 or certified by
     Miller-Rabin below psi_13.
     """
+    n = n if type(n) is int else _integer(n)
     if n == 0:
         raise ZeroInput("cannot factor 0")
-    return list(_factorization(abs(int(n)), trial_bound if bound is None else bound))
+    return list(_factorization(abs(n), trial_bound if bound is None else bound))
 
 
 def prime_divisors(n: int) -> list[int]:
-    if n in (1, -1):
-        return []
-    if n == 0:
-        raise ZeroInput("cannot factor 0")
-    return [p for p, _ in _factorization(abs(int(n)), trial_bound)]
+    return [p for p, _ in factor(n)]
 
 
-def _int_class(q) -> int:
-    """An integer in the square class of the rational q: q itself, or its
-    numerator times its denominator."""
-    if isinstance(q, int):
-        return q
-    q = Fraction(q)
-    return q.numerator * q.denominator
-
-
-def square_class(q) -> int:
-    """Canonical squarefree representative of q in Q*/Q*^2.
-
-    A rational's coprime numerator and denominator are factored apart, and
-    its class is the product of theirs: as in hilbert_places, their product
-    can pass the factor cap where neither of them does."""
-    if not isinstance(q, int):
-        q = Fraction(q)
-        return square_class(q.numerator) * square_class(q.denominator)
+def square_class(q: int) -> int:
+    """Canonical squarefree representative of the integer q in Q*/Q*^2."""
+    q = q if type(q) is int else _integer(q)
     if q == 0:
         raise ZeroInput("0 has no square class")
     out = -1 if q < 0 else 1
@@ -344,7 +338,8 @@ def is_squarefree(n: int) -> bool:
 
 def kronecker(a: int, n: int) -> int:
     """Kronecker symbol (a|n), fully extended to all integer n."""
-    a, n = int(a), int(n)
+    a = a if type(a) is int else _integer(a)
+    n = n if type(n) is int else _integer(n)
     if n == 0:
         return 1 if a in (1, -1) else 0
     if a % 2 == 0 and n % 2 == 0:
@@ -471,17 +466,18 @@ def padic_val(n: int, p: int) -> int:
     return v
 
 
-def hilbert(a, b, v) -> int:
+def hilbert(a: int, b: int, v) -> int:
     """Hilbert symbol (a,b)_v: +1 iff x^2 - a y^2 - b z^2 = 0 has a nonzero Q_v-point.
 
     v is INFINITY or a prime; any other v raises InvariantViolated."""
-    a, b = _int_class(a), _int_class(b)  # the symbols see only the square class
+    a = a if type(a) is int else _integer(a)
+    b = b if type(b) is int else _integer(b)
     if a == 0 or b == 0:
         raise ZeroInput("Hilbert symbol needs nonzero arguments")
     if v is INFINITY:
         return -1 if a < 0 and b < 0 else 1
-    p = int(v)
-    if p != v or p < 2 or factor(p) != [(p, 1)]:
+    p = v if type(v) is int else _integer(v)
+    if p < 2 or factor(p) != [(p, 1)]:
         raise InvariantViolated(f"{v!r} is not a place of Q")
     alpha, beta = padic_val(a, p), padic_val(b, p)
     a, b = a // p**alpha, b // p**beta
@@ -503,18 +499,18 @@ def hilbert(a, b, v) -> int:
     return sign
 
 
-def hilbert_places(a, b) -> list:
+def hilbert_places(a: int, b: int) -> list:
     """Places where (a,b)_v may be nontrivial: infinity, 2 and odd p | ab.
 
-    A rational's numerator and denominator are factored apart: their product,
-    _int_class, can pass the factor cap where neither of them does."""
+    a and b are factored apart: their product can pass the factor cap where
+    neither of them does."""
     ps = {2}
-    for q in map(Fraction, (a, b)):
-        ps.update(p for n in (q.numerator, q.denominator) for p, _ in factor(n))
+    for n in (a, b):
+        ps.update(p for p, _ in factor(n))
     return [INFINITY] + sorted(ps)
 
 
-def hilbert_product(a, b) -> int:
+def hilbert_product(a: int, b: int) -> int:
     """Product of (a,b)_v over all places; the global formula makes it +1."""
     prod = 1
     for v in hilbert_places(a, b):

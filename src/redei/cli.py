@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 
 from . import arith
 from .arith import INFINITY, hilbert_product, square_class
@@ -128,8 +129,8 @@ def cmd_ranks(args) -> tuple[dict, str, int]:
 
 
 # --- verification sweeps ----------------------------------------------------
-# A suite pairs work(size, seed), the list of items it checks, with item(x),
-# the counterexamples found at one item.
+# A suite pairs work(size, seed), an iterable of the items it checks, with
+# item(x), the counterexamples found at one item.
 
 
 def _squarefree_values(bound: int) -> list[int]:
@@ -141,8 +142,8 @@ def _squarefree_values(bound: int) -> list[int]:
     return sorted(out, key=abs)
 
 
-def _reciprocity_work(max_entry: int, seed: int) -> list:
-    return list(combinations(_squarefree_values(max_entry), 3))
+def _reciprocity_work(max_entry: int, seed: int):
+    return combinations(_squarefree_values(max_entry), 3)
 
 
 def _reciprocity_item(triple) -> list:
@@ -155,10 +156,10 @@ def _reciprocity_item(triple) -> list:
     return []
 
 
-def _oracle_work(bound: int, seed: int) -> list:
-    if bound > DEFAULT_ORACLE_BOUND:  # checked first: the list grows with the bound
+def _oracle_work(bound: int, seed: int):
+    if bound > DEFAULT_ORACLE_BOUND:  # checked at the call, before any D is listed
         raise BoundExceeded(f"--max {bound} exceeds the oracle bound {DEFAULT_ORACLE_BOUND}")
-    return [D for D in range(-bound, bound + 1) if arith.is_fundamental_discriminant(D)]
+    return (D for D in range(-bound, bound + 1) if arith.is_fundamental_discriminant(D))
 
 
 def _oracle_item(D: int) -> list:
@@ -228,16 +229,22 @@ _SUITES = {
 }
 
 
+_BATCH = 4096  # items handed to the pool at a time: Executor.map submits all it is given
+
+
 def _map_jobs(fn, work, jobs):
+    """fn of each item of work, in order, on at most one worker process per CPU."""
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
-        for item in work:
-            yield fn(item)
+        yield from map(fn, work)
         return
     # imported here: the pool costs more to import than a one-shot command runs
     from concurrent.futures import ProcessPoolExecutor
 
+    work = iter(work)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(fn, work, chunksize=max(1, len(work) // (8 * jobs)))
+        while batch := list(islice(work, _BATCH)):
+            yield from pool.map(fn, batch, chunksize=max(1, len(batch) // (8 * jobs)))
 
 
 def cmd_verify(args) -> tuple[dict, str, int]:
@@ -245,9 +252,11 @@ def cmd_verify(args) -> tuple[dict, str, int]:
     n = args.max if args.max is not None else default_max
     if n < 0:
         raise BoundExceeded(f"--max {n} is negative")
-    work = work_of(n, args.seed)
-    checked = len(work)
-    violations = sorted(v for out in _map_jobs(item, work, args.jobs) for v in out)
+    checked, violations = 0, []
+    for out in _map_jobs(item, work_of(n, args.seed), args.jobs):
+        checked += 1
+        violations += out
+    violations.sort()
     record = {
         "inputs": {"suite": args.suite, "max": n, "seed": args.seed},
         "checked": checked,

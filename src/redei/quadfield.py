@@ -33,19 +33,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .arith import CACHE_SIZE, discriminant, kronecker, padic_val, sqrt_mod_p
+from .arith import CACHE_SIZE, _integer, discriminant, kronecker, padic_val, sqrt_mod_p
 from .errors import InvariantViolated, NotTwoUnit, WrongDiscriminantClass, ZeroInput
-
-
-def _integer(q) -> int:
-    """The coordinate q as an int; InvariantViolated unless its value is an integer."""
-    try:
-        n = int(q)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or n != q:
-        raise InvariantViolated(f"coordinate {q!r} is not an integer")
-    return n
 
 
 class QuadElt:
@@ -61,7 +50,7 @@ class QuadElt:
     def __init__(self, x, y, a):
         self.x = x if type(x) is int else _integer(x)
         self.y = y if type(y) is int else _integer(y)
-        self.a = a if type(a) is int else int(a)
+        self.a = a if type(a) is int else _integer(a)
 
     def __repr__(self):
         return f"QuadElt({self.x}, {self.y}, sqrt {self.a})"

@@ -2,9 +2,11 @@ import importlib
 import pkgutil
 import random
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import redei
 from redei import arith
@@ -28,6 +30,7 @@ from redei.errors import (
     TrivialClass,
     ZeroInput,
 )
+from redei.quadfield import QuadElt
 
 
 def test_factor_examples():
@@ -61,7 +64,10 @@ def test_factor_errors():
 def test_square_class_examples():
     assert square_class(12) == 3
     assert square_class(-4) == -1
-    assert square_class(Fraction(50, 9)) == 2
+    assert square_class(50 * 9) == 2
+    # a square class is read from an integer: a proper fraction is no argument
+    with pytest.raises(InvariantViolated):
+        square_class(Fraction(50, 9))
 
 
 def test_square_class_and_prime_divisors_follow_factor(monkeypatch):
@@ -82,16 +88,14 @@ def test_square_class_and_prime_divisors_follow_factor(monkeypatch):
 def test_square_class_properties():
     rng = random.Random(1)
     for _ in range(300):
-        q = Fraction(rng.randint(1, 5000) * rng.choice((1, -1)), rng.randint(1, 500))
+        q = rng.randint(1, 5000) * rng.choice((1, -1)) * rng.randint(1, 500)
         s = square_class(q)
         assert square_class(s) == s  # idempotent
-        ratio = q / s
-        r = Fraction(ratio)
-        # q / s is a square of a rational
-        assert r > 0
-        num, den = r.numerator, r.denominator
-        assert int(num**0.5 + 0.5) ** 2 == num or square_class(num) == 1
-        assert square_class(den) == 1
+        # q / s is the square of an integer
+        assert q % s == 0 and isqrt(q // s) ** 2 == q // s
+        assert square_class(q // s) == 1
+        with pytest.raises(InvariantViolated):
+            square_class(Fraction(2 * q + 1, 2))
 
 
 def test_kronecker_examples():
@@ -158,9 +162,14 @@ def test_hilbert_examples():
     for v in hilbert_places(-20, 41):
         assert hilbert(-20, 41, v) == 1  # (12,1,2) solves the conic globally
     assert hilbert_places(-20, 41) == [INFINITY, 2, 5, 41]
-    # rational arguments contribute the primes of numerator and denominator
-    assert hilbert_places(Fraction(-20, 9), Fraction(41, 7)) == [INFINITY, 2, 3, 5, 7, 41]
+    assert hilbert_places(-20 * 9, 41 * 7) == [INFINITY, 2, 3, 5, 7, 41]
     assert hilbert_places(Fraction(-20), 41) == hilbert_places(-20, 41)
+    # the arguments are integers: a proper fraction is no argument
+    for a, b in ((Fraction(-20, 9), 41), (-20, Fraction(41, 7))):
+        with pytest.raises(InvariantViolated):
+            hilbert_places(a, b)
+        with pytest.raises(InvariantViolated):
+            hilbert(a, b, 5)
 
 
 def test_hilbert_rejects_a_v_that_is_not_a_place():
@@ -237,22 +246,58 @@ def test_product_formula():
             assert hilbert_product(a, b) == 1
 
 
-def test_hilbert_places_of_a_rational_past_the_factor_cap():
-    # numerator and denominator are primes just above 2**24: each is certified
-    # alone, and their product, which has two primes above the cap, never is
+def test_hilbert_places_of_primes_past_the_factor_cap():
+    # p and q are primes just above 2**24: each is certified alone, and their
+    # product, which has two primes above the cap, never is; the two arguments
+    # are factored apart
     p, q = 16777259, 16777289
-    assert hilbert_places(Fraction(p, q), 3) == [INFINITY, 2, 3, p, q]
-    assert hilbert_product(Fraction(p, q), 3) == 1
+    assert hilbert_places(p, q) == [INFINITY, 2, p, q]
+    assert hilbert_product(p, q) == 1
+    with pytest.raises(FactorLimitExceeded):
+        hilbert_places(p * q, 3)
 
 
-def test_square_class_of_a_rational_past_the_factor_cap():
-    # the same primes: the class of p/q is read from p and q apart, as the
-    # coprime numerator and denominator of a rational always may be
+def test_square_class_of_primes_past_the_factor_cap():
+    # the same primes: each alone has its class, and their product raises
     p, q = 16777259, 16777289
-    assert square_class(Fraction(p, q)) == p * q
-    assert square_class(Fraction(-4 * q, 9 * p)) == -p * q
+    assert square_class(p) == p
+    assert square_class(-4 * q * 9) == -q
     with pytest.raises(FactorLimitExceeded):
         square_class(p * q)
+
+
+# every entry that reads an integer argument, as a function of that one argument
+ONE_CHECK = {
+    "factor": factor,
+    "prime_divisors": prime_divisors,
+    "square_class": square_class,
+    "kronecker a": lambda n: kronecker(n, 15),
+    "kronecker n": lambda n: kronecker(7, n),
+    "hilbert a": lambda n: [hilbert(n, -3, v) for v in (INFINITY, 2, 3)],
+    "hilbert b": lambda n: [hilbert(-3, n, v) for v in (INFINITY, 2, 3)],
+    "QuadElt x": lambda n: QuadElt(n, 1, 5),
+    "QuadElt y": lambda n: QuadElt(1, n, 5),
+    "QuadElt a": lambda n: QuadElt(1, 1, n),
+}
+
+NOT_INTEGERS = st.one_of(
+    st.fractions(min_value=-1000, max_value=1000).filter(lambda q: q.denominator != 1),
+    st.sampled_from((2.5, "3", None)),
+)
+
+
+@pytest.mark.parametrize("entry", sorted(ONE_CHECK))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(-(10**6), 10**6).filter(bool), q=NOT_INTEGERS)
+def test_every_entry_reads_its_argument_through_one_check(entry, n, q):
+    # an integral value of any type gives the int's answer; nothing is truncated
+    f = ONE_CHECK[entry]
+    expected = f(n)
+    for same in (Fraction(n), float(n)):
+        if f(same) != expected:
+            pytest.fail(f"{entry}: {same!r} gives {f(same)!r}, {n} gives {expected!r}")
+    with pytest.raises(InvariantViolated):
+        f(q)
 
 
 def test_one_cache_policy():

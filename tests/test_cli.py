@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -158,6 +159,56 @@ def test_verify_jobs_match(capsys):
     _, out1, _ = run(capsys, "verify", "oracle", "--max", "200", "--json")
     _, out2, _ = run(capsys, "verify", "oracle", "--max", "200", "--jobs", "2", "--json")
     assert out1 == out2
+
+
+def test_verify_reciprocity_runs_in_bounded_memory(capsys):
+    # the suite yields its triples of ~1.2 N entries one at a time: listed whole,
+    # the 156 849 triples of --max 80 take about 12 MB
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "verify", "reciprocity", "--max", "80")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, "reciprocity: 156849 items checked, 0 violations\n")
+    assert peak < 3 * 2**20, f"peak {peak} bytes"
+
+
+def test_verify_jobs_capped_at_cpu_count(capsys, monkeypatch):
+    # --jobs N starts at most one worker per CPU, and the pool is fed in batches;
+    # the pool here maps serially and records its size and the batches it is
+    # handed, so no process starts
+    import concurrent.futures
+
+    from redei import cli
+
+    pools, batches = [], []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            batches.append(len(items))
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    argv = ("verify", "reciprocity", "--max", "30", "--json")
+    expected = run(capsys, *argv)
+    assert run(capsys, *argv, "--jobs", "100000") == expected
+    assert run(capsys, *argv, "--jobs", "2") == expected
+    assert pools == [3, 2]
+    checked = json.loads(expected[1])["checked"]
+    assert checked > cli._BATCH and max(batches) <= cli._BATCH
+    assert sum(batches) == 2 * checked
 
 
 def test_verify_twist_independence_small(capsys):

@@ -79,3 +79,31 @@ def test_cli_import_stays_light():
     heavy = sorted(loaded & {"dataclasses", "concurrent.futures", "multiprocessing"})
     if heavy:
         pytest.fail(f"import redei.cli loads {heavy}")
+
+
+def test_package_imports_no_rationals():
+    # every value in redei is an int, read through arith._integer
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.partition(".")[0] == "fractions" for name in names):
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    if found:
+        pytest.fail(f"fractions imported in redei: {found}")
+    script = "import sys, redei; print(*sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "redei" in loaded
+    heavy = sorted(loaded & {"fractions", "decimal"})
+    if heavy:
+        pytest.fail(f"import redei loads {heavy}")
