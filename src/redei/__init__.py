@@ -27,7 +27,6 @@ from .redeimatrix import (
     r4,
     r8,
     ranks,
-    second_kind_decompositions,
 )
 from .symbol import (
     MinRamWitness,
@@ -57,7 +56,6 @@ __all__ = [
     # redeimatrix
     "RedeiMatrixR4", "RedeiMatrixR8", "SecondKindDecomposition", "build_R4", "build_R8",
     "fundamental_discriminant", "governing_r4_check", "r2", "r4", "r8", "ranks",
-    "second_kind_decompositions",
     # symbol
     "MinRamWitness", "ReciprocityReport", "SymbolTrace", "TwistingGroup",
     "minimally_ramified_witness", "redei_symbol", "twist_witness",

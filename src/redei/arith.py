@@ -111,22 +111,16 @@ def _integer(q) -> int:
     raise InvariantViolated(f"{q!r} is not an integer")
 
 
-def _trial_bound() -> int:
-    env = os.environ.get("REDEI_FACTOR_BOUND")
-    if not env:
-        return DEFAULT_TRIAL_BOUND
+# The bound factor() uses by default, read from REDEI_FACTOR_BOUND here, once per
+# process, so every memo above factor answers under the bound factor applies.  A
+# malformed value leaves the default in place and is kept in _bound_error, which
+# cli.main reports as bad input before it runs a command.
+trial_bound, _bound_error = DEFAULT_TRIAL_BOUND, None
+if _env := os.environ.get("REDEI_FACTOR_BOUND"):
     try:
-        return int(env)
+        trial_bound = int(_env)
     except ValueError:
-        raise InvalidFactorBound(f"REDEI_FACTOR_BOUND={env!r} is not an integer") from None
-
-
-# the bound factor() uses by default: read at import, and again by each cli.main,
-# which reports a malformed value as bad input; importing keeps the default then
-try:
-    trial_bound = _trial_bound()
-except InvalidFactorBound:
-    trial_bound = DEFAULT_TRIAL_BOUND
+        _bound_error = InvalidFactorBound(f"REDEI_FACTOR_BOUND={_env!r} is not an integer")
 
 
 def _is_prime(n: int) -> bool:
@@ -404,12 +398,14 @@ def sqrt_mod_p(a: int, p: int) -> int:
 
 def discriminant(a: int) -> int:
     """Discriminant of Q(sqrt(a)) for a squarefree, a != 1."""
+    a = a if type(a) is int else _integer(a)
     if a == 1:
         raise TrivialClass("the trivial square class has no quadratic field")
     return a if a % 4 == 1 else 4 * a
 
 
 def is_fundamental_discriminant(D: int) -> bool:
+    D = D if type(D) is int else _integer(D)
     if D == 0 or D == 1:
         return False
     if D % 4 == 1:
@@ -418,6 +414,11 @@ def is_fundamental_discriminant(D: int) -> bool:
         m = D // 4
         return m % 4 in (2, 3) and is_squarefree(m)
     return False
+
+
+def _p_star(p: int) -> int:
+    """The signed prime discriminant p* = (-1)^((p-1)/2) p of an odd prime p."""
+    return p if p % 4 == 1 else -p
 
 
 class SignedPrimeDecomposition(namedtuple("SignedPrimeDecomposition", "odd_parts two_part")):
@@ -441,15 +442,11 @@ class SignedPrimeDecomposition(namedtuple("SignedPrimeDecomposition", "odd_parts
 
 def signed_prime_decomposition(D: int) -> SignedPrimeDecomposition:
     """Factor a fundamental discriminant into signed prime discriminants."""
+    D = D if type(D) is int else _integer(D)
     if not is_fundamental_discriminant(D):
         raise NotFundamental(f"{D} is not a fundamental discriminant")
-    odd = tuple(
-        p if p % 4 == 1 else -p for p, _ in factor(D) if p != 2
-    )
-    prod = 1
-    for part in odd:
-        prod *= part
-    two_part = D // prod
+    odd = tuple(_p_star(p) for p, _ in factor(D) if p != 2)
+    two_part = D // prod(odd)
     if two_part not in (1, -4, 8, -8):
         raise InvariantViolated(f"2-part {two_part} of {D}")
     return SignedPrimeDecomposition(odd_parts=odd, two_part=two_part)
@@ -457,6 +454,8 @@ def signed_prime_decomposition(D: int) -> SignedPrimeDecomposition:
 
 def padic_val(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
+    n = n if type(n) is int else _integer(n)
+    p = p if type(p) is int else _integer(p)
     if n == 0:
         raise ZeroInput("valuation of 0")
     v = 0
@@ -480,23 +479,33 @@ def hilbert(a: int, b: int, v) -> int:
     if p < 2 or factor(p) != [(p, 1)]:
         raise InvariantViolated(f"{v!r} is not a place of Q")
     alpha, beta = padic_val(a, p), padic_val(b, p)
-    a, b = a // p**alpha, b // p**beta
     if p == 2:
-        u, w = a % 8, b % 8
+        u, w = (a >> alpha) % 8, (b >> beta) % 8
         exp = ((u - 1) // 2) * ((w - 1) // 2)
         if alpha % 2:
             exp += (w * w - 1) // 8
         if beta % 2:
             exp += (u * u - 1) // 8
         return -1 if exp % 2 else 1
-    sign = 1
-    if alpha % 2 and beta % 2 and p % 4 == 3:
-        sign = -sign
-    if beta % 2:
-        sign *= kronecker(a, p)
-    if alpha % 2:
-        sign *= kronecker(b, p)
-    return sign
+    if not (alpha | beta) & 1:
+        return 1
+    # a and b reduced mod squares: their p-parts are p**(alpha % 2), p**(beta % 2)
+    return -1 if _fails_at_odd(a // p ** (alpha & ~1), b // p ** (beta & ~1), p) else 1
+
+
+def _fails_at_odd(u: int, w: int, p: int) -> bool:
+    """True iff (u, w)_p = -1, for an odd prime p dividing u or w, neither of them
+    divisible by p**2.
+
+    The symbol is the Legendre symbol at p of u, of w or of -(u/p)(w/p), which is
+    prime to p, so Euler's criterion decides it."""
+    if u % p:
+        n = u
+    elif w % p:
+        n = w
+    else:
+        n = -(u // p) * (w // p)
+    return pow(n, (p - 1) // 2, p) != 1
 
 
 def hilbert_places(a: int, b: int) -> list:

@@ -1,10 +1,11 @@
 """Command-line surface: symbol evaluation, rank computation, verification sweeps.
 
 JSON output (--json) is versioned ("schema": 1) and byte-deterministic: identical
-invocations produce identical bytes, so timing is only emitted on request
-(--timing) or in the human-readable text. Exit codes: 0 ok, 1 verification
-counterexample, 2 invalid triple, 3 degenerate arguments, 4 factorization limit,
-5 bad input (a malformed command line included), 6 any other library error.
+invocations produce identical bytes, so timing is only emitted on request: under
+--timing, as "timing_ms" in the record or as a last "time: <ms> ms" line of the
+text. Exit codes: 0 ok, 1 verification counterexample, 2 invalid triple,
+3 degenerate arguments, 4 factorization limit, 5 bad input (a malformed command
+line included), 6 any other library error.
 """
 
 from __future__ import annotations
@@ -170,15 +171,14 @@ def _oracle_item(D: int) -> list:
     return []
 
 
-def _product_work(count: int, seed: int) -> list:
+def _product_work(count: int, seed: int):
     rng = random.Random(seed)
-    work = []
-    while len(work) < count:
+    while count > 0:
         a = rng.randint(-(10**6), 10**6)
         b = rng.randint(-(10**6), 10**6)
         if a and b:
-            work.append((a, b))
-    return work
+            count -= 1
+            yield a, b
 
 
 def _product_item(pair) -> list:
@@ -195,17 +195,13 @@ TWIST_ENTRY_BOUND = 60  # twist-independence draws its entries with |n| <= this
 
 def _random_valid_triples(count: int, seed: int):
     rng = random.Random(seed)
-    found = []
-    while len(found) < count:
+    while count > 0:
         a, b, c = (
             square_class(rng.randint(2, TWIST_ENTRY_BOUND) * rng.choice((1, -1))) for _ in range(3)
         )
-        if len({a, b, c}) != 3 or 1 in (a, b, c):
-            continue
-        if not is_valid_triple(a, b, c):
-            continue
-        found.append((a, b, c))
-    return found
+        if len({a, b, c}) == 3 and 1 not in (a, b, c) and is_valid_triple(a, b, c):
+            count -= 1
+            yield a, b, c
 
 
 def _twist_item(triple) -> list:
@@ -336,9 +332,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    saved = arith.trial_bound
     try:
-        arith.trial_bound = arith._trial_bound()
+        if arith._bound_error:
+            raise arith._bound_error
         t0 = time.monotonic()
         record, text, code = args.fn(args)
     except RedeiError as exc:
@@ -346,11 +342,10 @@ def main(argv=None) -> int:
         for line in exc.violations if isinstance(exc, InvalidTriple) else [exc]:
             print(f"{prefix}: {line}", file=sys.stderr)
         return code
-    finally:
-        arith.trial_bound = saved
     record = {"schema": SCHEMA, "command": args.command, **record}
     if args.timing:
         record["timing_ms"] = round(1000 * (time.monotonic() - t0), 3)
+        text += f"\ntime: {record['timing_ms']} ms"
     _emit(record, args.json, text)
     return code
 

@@ -1,5 +1,6 @@
 """Rank pipeline for the narrow class group: signed decomposition -> R4 ->
-second-kind decompositions -> kernel bases -> R8 -> (r2, r4, r8).
+kernel bases (that of R4^T gives the second-kind decompositions) -> R8 ->
+(r2, r4, r8).
 
 Matrix conventions: F2 entries as int bitmasks (bit j = column j); labels are
 ordered 2-part first, then odd primes ascending.  The R8 matrix keeps all
@@ -19,6 +20,8 @@ from math import prod
 from . import gf2
 from .arith import (
     CACHE_SIZE,
+    _integer,
+    _p_star,
     _primes_upto,
     discriminant,
     kronecker,
@@ -32,6 +35,7 @@ from .symbol import _record, _symbol
 
 def fundamental_discriminant(d: int) -> int:
     """D in {d, 4d} for squarefree d != 1."""
+    d = d if type(d) is int else _integer(d)
     if d == 1:
         raise TrivialClass("d = 1 has no quadratic field")
     if square_class(d) != d:
@@ -102,6 +106,9 @@ def r4(D: int) -> int:
 
 
 class SecondKindDecomposition(namedtuple("SecondKindDecomposition", "d1 d2")):
+    """A row label of R8: D = d1 * d2 with every ramified prime split in
+    Q(sqrt d1, sqrt d2)."""
+
     __slots__ = ()
 
 
@@ -112,21 +119,6 @@ def _is_second_kind(m4: RedeiMatrixR4, d1: int, mask: int) -> bool:
     return all(
         kronecker(d2 if mask >> i & 1 else d1, p) == 1 for i, p in enumerate(m4.col_labels)
     )
-
-
-def second_kind_decompositions(D: int) -> list[SecondKindDecomposition]:
-    """All unordered D = d1*d2 with every ramified prime split in Q(sqrt d1, sqrt d2)."""
-    m4 = build_R4(D)
-    parts = m4.row_labels
-    out = []
-    # keep part 0 in d2 so each unordered pair appears once
-    for mask in range(0, 1 << len(parts), 2):
-        d1 = prod(part for i, part in enumerate(parts) if mask >> i & 1)
-        if _is_second_kind(m4, d1, mask):
-            pair = sorted((d1, D // d1), key=abs)
-            out.append(SecondKindDecomposition(pair[0], pair[1]))
-    out.sort(key=lambda s: (abs(s.d1), s.d1))
-    return out
 
 
 class RedeiMatrixR8(_BitmaskMatrix):
@@ -222,7 +214,7 @@ def governing_r4_check(d: int, bound: int) -> GoverningReport:
         raise TrivialClass("d must be nonzero")
     d = square_class(d)
     odd_qs = [q for q in prime_divisors(d) if q != 2]
-    signed = [q if q % 4 == 1 else -q for q in odd_qs]
+    signed = [_p_star(q) for q in odd_qs]
     classes: dict = {}
     violations = []
     for p in _primes_upto(bound):

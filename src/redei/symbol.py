@@ -18,6 +18,8 @@ from itertools import combinations, permutations
 from .arith import (
     CACHE_SIZE,
     INFINITY,
+    _fails_at_odd,
+    _p_star,
     kronecker,
     prime_divisors,
     square_class,
@@ -87,20 +89,6 @@ def _arg(q) -> _Arg:
 def _fails_at_2(u: _Arg, w: _Arg) -> int:
     """1 iff (u, w)_2 = -1 (Serre, A Course in Arithmetic, III.1.2, Thm 1)."""
     return (u.eps & w.eps) ^ (u.even & w.omega) ^ (w.even & u.omega)
-
-
-def _fails_at_odd(u: int, w: int, p: int) -> bool:
-    """True iff (u, w)_p = -1, for squarefree u, w and an odd prime p dividing u or w.
-
-    The symbol is the Legendre symbol at p of u, of w or of -(u/p)(w/p), which is
-    prime to p, so Euler's criterion decides it."""
-    if u % p:
-        n = u
-    elif w % p:
-        n = w
-    else:
-        n = -(u // p) * (w // p)
-    return pow(n, (p - 1) // 2, p) != 1
 
 
 def _shared_primes(a: _Arg, b: _Arg, c: _Arg) -> list[int]:
@@ -182,7 +170,7 @@ def twisting_group(a: int, b: int) -> TwistingGroup:
     ra, rb = _arg(a), _arg(b)
     if ra.n == 1 or rb.n == 1:
         raise TrivialClass("twisting group needs nontrivial classes")
-    gens = [p if p % 4 == 1 else -p for p in sorted(set(ra.odd + rb.odd))]
+    gens = [_p_star(p) for p in sorted(set(ra.odd + rb.odd))]
     two_parts = [_two_part(ra), _two_part(rb)]
     gens.extend(t for t in two_parts if t != 1)
     if 1 not in two_parts:

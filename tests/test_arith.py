@@ -19,6 +19,7 @@ from redei.arith import (
     hilbert_product,
     is_fundamental_discriminant,
     kronecker,
+    padic_val,
     prime_divisors,
     signed_prime_decomposition,
     square_class,
@@ -27,10 +28,12 @@ from redei.errors import (
     FactorLimitExceeded,
     InvariantViolated,
     NotFundamental,
+    NotSquarefree,
     TrivialClass,
     ZeroInput,
 )
 from redei.quadfield import QuadElt
+from redei.redeimatrix import fundamental_discriminant
 
 
 def test_factor_examples():
@@ -266,8 +269,26 @@ def test_square_class_of_primes_past_the_factor_cap():
         square_class(p * q)
 
 
+def _answer(f, *errors):
+    """f, with each of errors returned as its type: an integer that f rejects
+    still has an answer to compare."""
+
+    def answer(n):
+        try:
+            return f(n)
+        except errors as exc:
+            return type(exc)
+
+    return answer
+
+
 # every entry that reads an integer argument, as a function of that one argument
 ONE_CHECK = {
+    "discriminant": _answer(discriminant, TrivialClass),
+    "is_fundamental_discriminant": is_fundamental_discriminant,
+    "signed_prime_decomposition": _answer(signed_prime_decomposition, NotFundamental),
+    "padic_val": lambda n: padic_val(n, 2),
+    "fundamental_discriminant": _answer(fundamental_discriminant, TrivialClass, NotSquarefree),
     "factor": factor,
     "prime_divisors": prime_divisors,
     "square_class": square_class,
@@ -290,11 +311,12 @@ NOT_INTEGERS = st.one_of(
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(-(10**6), 10**6).filter(bool), q=NOT_INTEGERS)
 def test_every_entry_reads_its_argument_through_one_check(entry, n, q):
-    # an integral value of any type gives the int's answer; nothing is truncated
+    # an integral value of any type gives the int's answer, of the int's types
+    # (a float does not leak into it); nothing is truncated
     f = ONE_CHECK[entry]
     expected = f(n)
     for same in (Fraction(n), float(n)):
-        if f(same) != expected:
+        if repr(f(same)) != repr(expected):
             pytest.fail(f"{entry}: {same!r} gives {f(same)!r}, {n} gives {expected!r}")
     with pytest.raises(InvariantViolated):
         f(q)

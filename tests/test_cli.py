@@ -1,8 +1,17 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import redei
 from redei.cli import main
 
 
@@ -10,6 +19,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_process(bound: str, *argv, script=None):
+    """A fresh `python -m redei.cli argv` (or `python -c script`) started with
+    REDEI_FACTOR_BOUND=bound, the only way to set the bound: it is read once per
+    process, at import."""
+    env = dict(os.environ, REDEI_FACTOR_BOUND=bound, PYTHONPATH=str(Path(redei.__file__).parents[1]))
+    command = ["-c", script] if script else ["-m", "redei.cli", *argv]
+    return subprocess.run(
+        [sys.executable, *command], capture_output=True, text=True, env=env, timeout=60
+    )
 
 
 def test_symbol_worked_example(capsys):
@@ -91,47 +111,59 @@ def test_ranks_oracle(capsys):
     assert rec["oracle"]["match"] is True
 
 
-def test_ranks_factor_limit_exit_4(capsys, monkeypatch):
-    monkeypatch.setenv("REDEI_FACTOR_BOUND", "100")
-    code, _, err = run(capsys, "ranks", str(1009 * 1013))
-    assert code == 4
-    assert "factorization limit" in err
+def test_ranks_factor_limit_exit_4():
+    proc = run_process("100", "ranks", str(1009 * 1013))
+    assert proc.returncode == 4
+    assert "factorization limit" in proc.stderr
 
 
 def test_malformed_factor_bound_exit_5():
-    # read at import and again by each cli.main: the import keeps the default,
-    # and the command reports bad input instead of a traceback
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import redei
-
-    env = dict(
-        os.environ, REDEI_FACTOR_BOUND="abc", PYTHONPATH=str(Path(redei.__file__).parents[1])
-    )
-    imported = subprocess.run(
-        [sys.executable, "-c", "import redei"], capture_output=True, text=True, env=env, timeout=60
-    )
+    # read once, at import: the import keeps the default, and each command
+    # reports bad input instead of a traceback
+    imported = run_process("abc", script="import redei")
     assert imported.returncode == 0, imported.stderr
-    proc = subprocess.run(
-        [sys.executable, "-m", "redei.cli", "ranks", "5"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
+    proc = run_process("abc", "ranks", "5")
     assert proc.returncode == 5
     assert proc.stdout == ""
     assert proc.stderr == "bad input: REDEI_FACTOR_BOUND='abc' is not an integer\n"
 
 
-def test_ranks_twenty_digits(capsys, monkeypatch):
-    monkeypatch.setenv("REDEI_FACTOR_BOUND", str(10**10))
-    code, out, _ = run(capsys, "ranks", str(9700000001 * 9900000001), "--json")
-    assert code == 0
-    assert json.loads(out)["result"]["r2"] == 1
+def test_ranks_twenty_digits():
+    proc = run_process(str(10**10), "ranks", str(9700000001 * 9900000001), "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["r2"] == 1
+
+
+SYMBOL_PAST_BOUND = ("symbol", "10403", "13", "17")  # 10403 = 101 * 103, two primes above 100
+
+
+def test_factor_bound_read_once_per_process(capsys, monkeypatch):
+    # the memos above factor (the symbol's records, the pair witnesses, R4) are
+    # not keyed on the bound, so the bound cannot change within a process: a
+    # variable set after import changes nothing, warm memos or cold
+    from redei import arith, redeimatrix, symbol
+
+    warm = run(capsys, *SYMBOL_PAST_BOUND)
+    assert warm == (0, "+1\n", "")
+    monkeypatch.setenv("REDEI_FACTOR_BOUND", "100")
+    assert run(capsys, *SYMBOL_PAST_BOUND) == warm
+    for memo in (symbol._arg, symbol._pair_witnesses, redeimatrix.build_R4, arith._factor_abs):
+        memo.cache_clear()
+    assert run(capsys, *SYMBOL_PAST_BOUND) == warm
+    # a process started with the bound exits 4 on it, whatever ran before and
+    # whatever the environment says by then
+    script = (
+        "import os\n"
+        "from redei.cli import main\n"
+        "codes = [main(['ranks', '-205']), main(['symbol', '-20', '41', '5'])]\n"
+        f"codes.append(main({list(SYMBOL_PAST_BOUND)}))\n"
+        "del os.environ['REDEI_FACTOR_BOUND']\n"
+        f"codes.append(main({list(SYMBOL_PAST_BOUND)}))\n"
+        "print(codes)\n"
+    )
+    proc = run_process("100", script=script)
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 4, 4]", proc.stderr
+    assert proc.stderr.count("factorization limit: unfactored cofactor 10403") == 2
 
 
 def test_verify_product_formula(capsys):
@@ -360,3 +392,106 @@ def test_record_envelope(capsys, command):
     timed = json.loads(out)
     assert code == 0 and set(timed) == set(rec) | {"timing_ms"}
     assert isinstance(timed["timing_ms"], float) and timed["timing_ms"] >= 0
+
+
+@pytest.mark.parametrize("command", sorted(ENVELOPES))
+def test_timing_ends_the_text(capsys, command):
+    # --timing adds one last "time: <ms> ms" line to the text; without it the
+    # text has no such line
+    argv, _ = ENVELOPES[command]
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0 and "time:" not in plain
+    code, timed, _ = run(capsys, *argv, "--timing")
+    assert code == 0
+    head, _, last = timed.rstrip("\n").rpartition("\n")
+    assert head + "\n" == plain
+    value, unit = last.removeprefix("time: ").split(" ")
+    assert last.startswith("time: ") and unit == "ms" and float(value) >= 0
+
+
+@pytest.mark.parametrize(
+    "suite, check", [("product-formula", "hilbert_product"), ("twist-independence", "verify_twist_independence")]
+)
+def test_sampled_suites_draw_their_work_lazily(capsys, monkeypatch, suite, check):
+    # a huge --max starts checking at once: the draws are capped, so a suite that
+    # drew its whole --max first would stop on the cap, never on its first check
+    import random
+
+    from redei import cli
+    from redei.errors import SearchExhausted
+
+    class CappedRandom(random.Random):
+        draws = 0
+
+        def randint(self, lo, hi):
+            CappedRandom.draws += 1
+            if CappedRandom.draws > 10_000:
+                raise RuntimeError(f"{suite} drew 10 000 numbers before its first check")
+            return super().randint(lo, hi)
+
+    checked = []
+
+    def first_checks(*item):
+        checked.append(item)
+        if len(checked) == 3:
+            raise SearchExhausted("stop")
+        return []
+
+    monkeypatch.setattr(cli.random, "Random", CappedRandom)
+    monkeypatch.setattr(cli, check, first_checks)
+    code, _, err = run(capsys, "verify", suite, "--max", str(10**12), "--seed", "7")
+    assert (code, err) == (6, "error: stop\n")
+    # the same items in the same order as a small --max draws
+    first = checked[:]
+    checked.clear()
+    assert run(capsys, "verify", suite, "--max", "3", "--seed", "7")[0] == 6
+    assert checked == first
+
+
+# mostly well-formed numbers, so that most command lines reach the library
+ARGV_NUMBERS = st.one_of(
+    st.integers(-40, 40).map(str),
+    st.integers(-40, 40).map(str),
+    st.integers(-40, 40).map(str),
+    st.sampled_from(("x", "", "1.5", "0x10", "1e3", " 7", "--")),
+)
+ARGV_MAX = st.one_of(st.integers(-3, 8).map(str), st.sampled_from(("x", "-", "2.0")))
+
+ARGV = st.one_of(
+    st.tuples(
+        st.just("symbol"),
+        ARGV_NUMBERS,
+        ARGV_NUMBERS,
+        ARGV_NUMBERS,
+        st.lists(st.sampled_from(("--trace", "--json", "--timing")), unique=True),
+    ),
+    st.tuples(
+        st.just("ranks"),
+        ARGV_NUMBERS,
+        st.lists(st.sampled_from(("--oracle", "--json", "--timing")), unique=True),
+    ),
+    st.tuples(
+        st.just("verify"),
+        st.sampled_from(("reciprocity", "oracle", "product-formula", "twist-independence", "governing")),
+        st.tuples(st.just("--max"), ARGV_MAX),
+        st.tuples(st.just("--jobs"), st.sampled_from(("-1", "0", "1"))),
+        st.tuples(st.just("--seed"), ARGV_NUMBERS),
+        st.lists(st.sampled_from(("--json", "--timing")), unique=True),
+    ),
+).map(lambda parts: [x for part in parts for x in ((part,) if isinstance(part, str) else part)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(argv=ARGV)
+def test_cli_contract(argv):
+    # every command line ends in a documented exit code, never in a traceback,
+    # and never in 1, the counterexample code; the numbers stay small and
+    # --jobs stays at most 1, so no conic search runs long and no process starts
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a usage error
+            code = exc.code
+    assert code in (0, 2, 3, 4, 5, 6), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

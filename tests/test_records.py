@@ -10,7 +10,7 @@ import pytest
 
 from redei.arith import signed_prime_decomposition
 from redei.conic import solve
-from redei.redeimatrix import build_R4, build_R8, governing_r4_check, second_kind_decompositions
+from redei.redeimatrix import build_R4, build_R8, governing_r4_check
 from redei.symbol import (
     minimally_ramified_witness,
     redei_symbol,
@@ -42,7 +42,7 @@ RECORDS = [
         "RedeiMatrixR4(D=-820, row_labels=(-4, 5, 41), col_labels=(2, 5, 41), rows=(1, 1, 0))",
     ),
     (
-        lambda: second_kind_decompositions(-820)[1],
+        lambda: build_R8(-820).row_labels[0],
         ("d1", "d2"),
         "SecondKindDecomposition(d1=-20, d2=41)",
     ),

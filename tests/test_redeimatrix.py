@@ -5,9 +5,10 @@ from types import SimpleNamespace
 import pytest
 
 from redei import gf2, redeimatrix
-from redei.arith import is_fundamental_discriminant
+from redei.arith import is_fundamental_discriminant, kronecker, signed_prime_decomposition
 from redei.errors import NotFundamental, NotSquarefree, TrivialClass
 from redei.redeimatrix import (
+    SecondKindDecomposition,
     build_R4,
     build_R8,
     fundamental_discriminant,
@@ -16,8 +17,25 @@ from redei.redeimatrix import (
     r4,
     r8,
     ranks,
-    second_kind_decompositions,
 )
+
+
+def second_kind_decompositions(D: int) -> list[SecondKindDecomposition]:
+    """Reference for build_R8's rows: every unordered D = d1*d2 with each ramified
+    prime split in Q(sqrt d1, sqrt d2), by trying all 2**t products of signed
+    parts; there are 2**r4 of them, where R8 keeps a basis of r4."""
+    parts = signed_prime_decomposition(D).parts
+    out = []
+    for mask in range(0, 1 << len(parts), 2):  # part 0 stays in d2: each pair once
+        d1 = prod(part for i, part in enumerate(parts) if mask >> i & 1)
+        d2 = D // d1
+        # kronecker(d2, p) = 1 for p | d1 and kronecker(d1, p) = 1 for p | d2
+        if all(
+            kronecker(d2 if mask >> i & 1 else d1, abs(part) if part % 2 else 2) == 1
+            for i, part in enumerate(parts)
+        ):
+            out.append(SecondKindDecomposition(*sorted((d1, d2), key=abs)))
+    return sorted(out, key=lambda s: (abs(s.d1), s.d1))
 
 
 def test_fundamental_discriminant():

@@ -1,5 +1,7 @@
 import ast
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -107,3 +109,39 @@ def test_package_imports_no_rationals():
     heavy = sorted(loaded & {"fractions", "decimal"})
     if heavy:
         pytest.fail(f"import redei loads {heavy}")
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.rglob("*.py"))}
+
+
+def test_factor_bound_is_read_and_set_in_arith_alone():
+    # the memos above factor are not keyed on the bound, so it is read once, at
+    # arith's import, and no module sets it afterwards
+    readers, setters = [], []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and node.value == "REDEI_FACTOR_BOUND":
+                readers.append(f"{name}:{node.lineno}")
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            if any(isinstance(t, ast.Attribute) and t.attr == "trial_bound" for t in targets):
+                setters.append(f"{name}:{node.lineno}")
+            if isinstance(node, ast.Global) and "trial_bound" in node.names:
+                setters.append(f"{name}:{node.lineno}")
+            if isinstance(node, ast.Constant) and node.value == "trial_bound":  # setattr
+                setters.append(f"{name}:{node.lineno}")
+    assert [r.partition(":")[0] for r in readers] == ["arith"], readers
+    assert not setters, f"trial_bound set in {setters}"
+
+
+def test_one_place_per_formula():
+    # p* = +-p is written once, in arith, and the second-kind decompositions are
+    # built one way, as the rows of R8; their brute force is a test reference
+    source = "".join(path.read_text() for path in sorted(PACKAGE.rglob("*.py")))
+    assert source.count("p if p % 4 == 1 else -p") == 1
+    holders = [
+        info.name
+        for info in pkgutil.iter_modules(redei.__path__, "redei.")
+        if hasattr(importlib.import_module(info.name), "second_kind_decompositions")
+    ]
+    assert not hasattr(redei, "second_kind_decompositions") and not holders, holders

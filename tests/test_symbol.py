@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from redei.arith import (
     INFINITY,
+    _fails_at_odd,
     discriminant,
     hilbert,
     kronecker,
@@ -25,7 +26,6 @@ from redei.symbol import (
     UNRAMIFIED_AT_2,
     TwistingGroup,
     Violation,
-    _fails_at_odd,
     _pair_witnesses,
     _ram_case,
     _symbol_from_witness,
@@ -221,7 +221,7 @@ def test_multiplicativity_seeded():
 def test_trivial_symbol_on_second_kind_decompositions():
     # [d1, d2, squarefree part of -d1d2] = +1 when (d1, d2) is of the second kind
     from redei.arith import is_fundamental_discriminant
-    from redei.redeimatrix import second_kind_decompositions
+    from test_redeimatrix import second_kind_decompositions
 
     checked = 0
     for D in list(range(-350, 0)) + list(range(5, 350)):
