@@ -86,12 +86,12 @@ _RHO_STEPS = 64
 
 # The one cache policy of the package.  A memo keyed on values that grow with a
 # sweep (an integer, a discriminant, a pair of arguments) is bounded at
-# CACHE_SIZE, so a long sweep runs in bounded memory.  The factor memo,
-# _factor_abs, is keyed on the odd part, so n and 2**k * n share one entry.
-# The one table keyed on residues, quadfield._unit_squares (keyed on a basis
-# mod 4), stays unbounded: it has at most a handful of entries.  The primes
-# below TRIAL_LIMIT and their product (_small_primes) are a constant, built on
-# first use.
+# CACHE_SIZE, so a long sweep runs in bounded memory.  arith holds two: the
+# record memo _arg, keyed on the argument, and the factor memo _factor_abs,
+# keyed on the odd part, so n and 2**k * n share one entry.  The one table keyed
+# on residues, quadfield._unit_squares (keyed on a basis mod 4), stays
+# unbounded: it has at most a handful of entries.  The primes below TRIAL_LIMIT
+# and their product (_small_primes) are a constant, built on first use.
 # oracle.enumerate_classes keeps no memo: every path in the package reads a
 # D's class group once.  The oracle's residue tables
 # (oracle._LPP, _INV, _PRIMES and _SQRT) are keyed on A <= sqrt(|D|/3), not on
@@ -314,16 +314,51 @@ def prime_divisors(n: int) -> list[int]:
     return [p for p, _ in factor(n)]
 
 
-def square_class(q: int) -> int:
-    """Canonical squarefree representative of the integer q in Q*/Q*^2."""
+def _class_primes(q) -> tuple[int, list[int]]:
+    """(n, primes): the square class n of the integer q and its primes, ascending."""
     q = q if type(q) is int else _integer(q)
     if q == 0:
         raise ZeroInput("0 has no square class")
-    out = -1 if q < 0 else 1
-    for p, e in _factorization(abs(q), trial_bound):
-        if e % 2:
-            out *= p
-    return out
+    primes = [p for p, e in _factorization(abs(q), trial_bound) if e & 1]
+    n = prod(primes)
+    return (-n if q < 0 else n), primes
+
+
+def square_class(q: int) -> int:
+    """Canonical squarefree representative of the integer q in Q*/Q*^2."""
+    return _class_primes(q)[0]
+
+
+class _Arg:
+    """A square class with its primes, read off one factorization.
+
+    A plain slots class, not a tuple, because the validators read its fields in
+    their inner loops; _arg shares each instance, so none is ever changed."""
+
+    __slots__ = ("n", "negative", "even", "odd", "eps", "omega")
+
+    def __init__(self, n: int, negative: bool, even: int, odd: tuple[int, ...], eps: int, omega: int):
+        self.n = n  # the squarefree class
+        self.negative = negative
+        self.even = even  # 1 iff 2 | n
+        self.odd = odd  # the odd primes dividing n, ascending
+        # epsilon and omega of the odd part n' = n / 2**even, read mod 8:
+        # (n' - 1)/2 and (n'^2 - 1)/8, each mod 2
+        self.eps = eps
+        self.omega = omega
+
+
+def _record(n: int, primes) -> _Arg:
+    """The record of the squarefree n whose prime divisors, ascending, are primes."""
+    even = 1 if primes and primes[0] == 2 else 0
+    unit = (n >> even) % 8
+    return _Arg(n, n < 0, even, tuple(primes[even:]), (unit >> 1) & 1, (unit * unit - 1) // 8 % 2)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _arg(q) -> _Arg:
+    """The record of the square class of q, memoized: q is factored once."""
+    return _record(*_class_primes(q))
 
 
 def is_squarefree(n: int) -> bool:
@@ -396,6 +431,17 @@ def sqrt_mod_p(a: int, p: int) -> int:
         r = m
 
 
+def _hensel_lift(a: int, r: int, p: int, k: int) -> int:
+    """The root of x^2 = a mod p**k that is r mod p, for a root r of a mod an odd
+    prime p not dividing a: Newton steps mod p**k, each doubling the digits of r
+    that are right."""
+    q, digits = p**k, 1
+    while digits < k:
+        digits *= 2
+        r = (r - (r * r - a) * pow(2 * r, -1, q)) % q
+    return r
+
+
 def discriminant(a: int) -> int:
     """Discriminant of Q(sqrt(a)) for a squarefree, a != 1."""
     a = a if type(a) is int else _integer(a)
@@ -404,16 +450,18 @@ def discriminant(a: int) -> int:
     return a if a % 4 == 1 else 4 * a
 
 
+def _fundamental_factorization(D: int):
+    """The factorization of |D| if D is a fundamental discriminant, else None:
+    D != 1 is 1 mod 4, or 4m with m = 2 or 3 mod 4, and its odd part squarefree."""
+    if D % 4 == 1 and D != 1 or D % 16 in (8, 12):
+        f = _factorization(abs(D), trial_bound)
+        if all(e == 1 for p, e in f if p != 2):
+            return f
+
+
 def is_fundamental_discriminant(D: int) -> bool:
     D = D if type(D) is int else _integer(D)
-    if D == 0 or D == 1:
-        return False
-    if D % 4 == 1:
-        return is_squarefree(D)
-    if D % 4 == 0:
-        m = D // 4
-        return m % 4 in (2, 3) and is_squarefree(m)
-    return False
+    return _fundamental_factorization(D) is not None
 
 
 def _p_star(p: int) -> int:
@@ -443,9 +491,10 @@ class SignedPrimeDecomposition(namedtuple("SignedPrimeDecomposition", "odd_parts
 def signed_prime_decomposition(D: int) -> SignedPrimeDecomposition:
     """Factor a fundamental discriminant into signed prime discriminants."""
     D = D if type(D) is int else _integer(D)
-    if not is_fundamental_discriminant(D):
+    f = _fundamental_factorization(D)
+    if f is None:
         raise NotFundamental(f"{D} is not a fundamental discriminant")
-    odd = tuple(_p_star(p) for p, _ in factor(D) if p != 2)
+    odd = tuple(_p_star(p) for p, _ in f if p != 2)
     two_part = D // prod(odd)
     if two_part not in (1, -4, 8, -8):
         raise InvariantViolated(f"2-part {two_part} of {D}")
@@ -456,6 +505,8 @@ def padic_val(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
     n = n if type(n) is int else _integer(n)
     p = p if type(p) is int else _integer(p)
+    if p < 2:
+        raise InvariantViolated(f"valuation at {p} < 2")
     if n == 0:
         raise ZeroInput("valuation of 0")
     v = 0
@@ -479,18 +530,20 @@ def hilbert(a: int, b: int, v) -> int:
     if p < 2 or factor(p) != [(p, 1)]:
         raise InvariantViolated(f"{v!r} is not a place of Q")
     alpha, beta = padic_val(a, p), padic_val(b, p)
+    # a and b over even powers of p; at 2 as records, whose 2-adic fields alone are read
     if p == 2:
-        u, w = (a >> alpha) % 8, (b >> beta) % 8
-        exp = ((u - 1) // 2) * ((w - 1) // 2)
-        if alpha % 2:
-            exp += (w * w - 1) // 8
-        if beta % 2:
-            exp += (u * u - 1) // 8
-        return -1 if exp % 2 else 1
+        u = _record(a >> alpha << (alpha & 1), (2,) * (alpha & 1))
+        w = _record(b >> beta << (beta & 1), (2,) * (beta & 1))
+        return -1 if _fails_at_2(u, w) else 1
     if not (alpha | beta) & 1:
         return 1
-    # a and b reduced mod squares: their p-parts are p**(alpha % 2), p**(beta % 2)
     return -1 if _fails_at_odd(a // p ** (alpha & ~1), b // p ** (beta & ~1), p) else 1
+
+
+def _fails_at_2(u: _Arg, w: _Arg) -> int:
+    """1 iff (u, w)_2 = -1, on the records of u and w (Serre, A Course in
+    Arithmetic, III.1.2, Thm 1)."""
+    return (u.eps & w.eps) ^ (u.even & w.omega) ^ (w.even & u.omega)
 
 
 def _fails_at_odd(u: int, w: int, p: int) -> bool:
@@ -521,9 +574,6 @@ def hilbert_places(a: int, b: int) -> list:
 
 def hilbert_product(a: int, b: int) -> int:
     """Product of (a,b)_v over all places; the global formula makes it +1."""
-    prod = 1
-    for v in hilbert_places(a, b):
-        prod *= hilbert(a, b, v)
-    if prod != 1:
+    if prod(hilbert(a, b, v) for v in hilbert_places(a, b)) != 1:
         raise ProductFormulaViolated(f"product formula failed for ({a}, {b})")
-    return prod
+    return 1

@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import combinations, islice
 
 from . import arith
-from .arith import INFINITY, hilbert_product, square_class
+from .arith import INFINITY, discriminant, hilbert_product, square_class
 from .errors import (
     BoundExceeded,
     DegenerateSquareClass,
@@ -35,7 +35,7 @@ from .errors import (
     ZeroInput,
 )
 from .oracle import DEFAULT_ORACLE_BOUND, narrow_ranks
-from .redeimatrix import fundamental_discriminant, governing_r4_check, r2, r4, r8, ranks
+from .redeimatrix import governing_r4_check, r2, r4, r8, ranks
 from .symbol import is_valid_triple, redei_symbol, verify_reciprocity, verify_twist_independence
 
 SCHEMA = 1
@@ -111,8 +111,8 @@ def cmd_symbol(args) -> tuple[dict, str, int]:
 
 def cmd_ranks(args) -> tuple[dict, str, int]:
     d = square_class(args.d)
-    D = fundamental_discriminant(d)
-    r = ranks(d)
+    r = ranks(d)  # checks that d is not 1, so D is its field's discriminant
+    D = discriminant(d)
     record = {
         "inputs": {"d": args.d},
         "canonical": {"d": d, "D": D},

@@ -52,7 +52,7 @@ from __future__ import annotations
 from itertools import compress
 from math import isqrt
 
-from .arith import is_fundamental_discriminant, sqrt_mod_p
+from .arith import _hensel_lift, is_fundamental_discriminant, sqrt_mod_p
 from .errors import BoundExceeded, InvariantViolated, NotFundamental
 
 DEFAULT_ORACLE_BOUND = 10**6
@@ -267,11 +267,12 @@ def _residues(D: int, amax: int):
         if r < 0:
             strike(p, p)
             continue
-        q = p
+        roots[p] = [r, p - r]
+        q, k = p * p, 2
         while q <= amax:
+            r = _hensel_lift(D, r, p, k)
             roots[q] = [r, q - r]
-            q *= p
-            r = (r - (r * r - D) * pow(2 * r, -1, q)) % q  # Hensel lift
+            q, k = q * p, k + 1
     return ok, two, roots
 
 

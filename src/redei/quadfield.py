@@ -33,7 +33,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .arith import CACHE_SIZE, _integer, discriminant, kronecker, padic_val, sqrt_mod_p
+from .arith import _hensel_lift, _integer, discriminant, kronecker, padic_val, sqrt_mod_p
 from .errors import InvariantViolated, NotTwoUnit, WrongDiscriminantClass, ZeroInput
 
 
@@ -118,21 +118,6 @@ class QuadElt:
         return QuadElt(x, y, self.a)
 
 
-def _hensel_sqrt_odd(a: int, p: int, k: int) -> int:
-    """Root r of r^2 = a mod p**k with r = min root mod p, via Newton lifting."""
-    r0 = sqrt_mod_p(a, p)
-    r0 = min(r0, p - r0)
-    r, prec = r0, 1
-    while prec < k:
-        prec = min(2 * prec, k)
-        mod = p**prec
-        r = (r + a * pow(r, -1, mod)) * pow(2, -1, mod) % mod
-    if r % p != r0:
-        r = p**k - r
-    return r
-
-
-@lru_cache(maxsize=CACHE_SIZE)
 def _hensel_sqrt_2(a: int, k: int) -> int:
     """Root r of r^2 = a mod 2**k with r = 1 mod 4, for a = 1 mod 8 and k >= 3."""
     r = 1
@@ -177,7 +162,8 @@ def split_units(
         if kronecker(a, p) != 1:
             raise InvariantViolated(f"{p} does not split in Q(sqrt {a})")
         x, y = beta.x, beta.y
-        s = _hensel_sqrt_odd(a, p, unit_digits)  # sqrt a at the canonical prime
+        r = sqrt_mod_p(a, p)
+        s = _hensel_lift(a, min(r, p - r), p, unit_digits)  # sqrt a at the canonical prime
         s_conj = -s
     u, w, m = _content(x, y, p)
     num, num_conj = u + w * s, u + w * s_conj

@@ -23,6 +23,7 @@ from .arith import (
     _integer,
     _p_star,
     _primes_upto,
+    _record,
     discriminant,
     kronecker,
     prime_divisors,
@@ -30,7 +31,7 @@ from .arith import (
     square_class,
 )
 from .errors import InvariantViolated, NotSquarefree, TrivialClass
-from .symbol import _record, _symbol
+from .symbol import _symbol
 
 
 def fundamental_discriminant(d: int) -> int:

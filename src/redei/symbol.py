@@ -14,14 +14,17 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import prod
 
 from .arith import (
     CACHE_SIZE,
     INFINITY,
+    _Arg,
+    _arg,
+    _fails_at_2,
     _fails_at_odd,
     _p_star,
     kronecker,
-    prime_divisors,
     square_class,
 )
 from .conic import ConicSolution, enumerate_solutions, solve_pair_squarefree
@@ -51,44 +54,6 @@ class Violation(namedtuple("Violation", "kind slot pair place")):
         if self.kind == "hilbert":
             return f"hilbert symbol ({self.slot}) = {self.pair} fails at {self.place}"
         return f"all three discriminants share the prime {self.place}"
-
-
-class _Arg:
-    """One argument of the symbol, canonicalized and factored once.
-
-    A plain slots class, not a tuple, because the validators read its fields in
-    their inner loops; _arg shares each instance, so none is ever changed."""
-
-    __slots__ = ("n", "negative", "even", "odd", "eps", "omega")
-
-    def __init__(self, n: int, negative: bool, even: int, odd: tuple[int, ...], eps: int, omega: int):
-        self.n = n  # the squarefree class
-        self.negative = negative
-        self.even = even  # 1 iff 2 | n
-        self.odd = odd  # the odd primes dividing n, ascending
-        # epsilon and omega of the odd part n' = n / 2**even, read mod 8:
-        # (n' - 1)/2 and (n'^2 - 1)/8, each mod 2
-        self.eps = eps
-        self.omega = omega
-
-
-def _record(n: int, primes) -> _Arg:
-    """The record of the squarefree n whose prime divisors, ascending, are primes."""
-    even = 1 if primes and primes[0] == 2 else 0
-    unit = (n >> even) % 8
-    return _Arg(n, n < 0, even, tuple(primes[even:]), (unit >> 1) & 1, (unit * unit - 1) // 8 % 2)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _arg(q) -> _Arg:
-    """The record of q, memoized: canonicalizing and factoring is done once per q."""
-    n = square_class(q)
-    return _record(n, prime_divisors(n))
-
-
-def _fails_at_2(u: _Arg, w: _Arg) -> int:
-    """1 iff (u, w)_2 = -1 (Serre, A Course in Arithmetic, III.1.2, Thm 1)."""
-    return (u.eps & w.eps) ^ (u.even & w.omega) ^ (w.even & u.omega)
 
 
 def _shared_primes(a: _Arg, b: _Arg, c: _Arg) -> list[int]:
@@ -194,15 +159,15 @@ def _ram_case(a: int, b: int) -> tuple[str, str | None]:
     if a == 1 or b == 1:
         raise TrivialClass("the trivial square class has no quadratic field")
     if a % 4 == 1 and b % 4 == 1:
-        return UNRAMIFIED_AT_2, "a"
+        return UNRAMIFIED_AT_2, A_SIDE
     if a % 8 == 1:  # disc b even
-        return UNRAMIFIED_AT_2, "b"
+        return UNRAMIFIED_AT_2, B_SIDE
     if b % 8 == 1:  # disc a even
-        return UNRAMIFIED_AT_2, "a"
+        return UNRAMIFIED_AT_2, A_SIDE
     if a % 4 == 3 and b % 8 == 5:
-        return TWO_MINIMAL, "a"
+        return TWO_MINIMAL, A_SIDE
     if b % 4 == 3 and a % 8 == 5:
-        return TWO_MINIMAL, "b"
+        return TWO_MINIMAL, B_SIDE
     return ODD_ONLY, None
 
 
@@ -210,7 +175,7 @@ def _minimally_ramified(case: str, side: str | None, beta: QuadElt, alpha: QuadE
     """The dyadic condition of _ram_case(a, b) on the witness pair (beta, alpha)."""
     if case == ODD_ONLY:
         return True
-    elt = beta if side == "a" else alpha
+    elt = beta if side == A_SIDE else alpha
     if case == UNRAMIFIED_AT_2:
         return unramified_at_two(elt)
     return conductor_two_at_two(elt)
@@ -325,10 +290,7 @@ def _symbol_from_witness(w: MinRamWitness, c) -> SymbolTrace:
     parts, sides = {}, {}
     for v in [2] * arg.even + list(arg.odd) + [INFINITY] * arg.negative:
         parts[v], sides[v] = _local_part(w, v)
-    value = 1
-    for s in parts.values():
-        value *= s
-    return SymbolTrace(w.a, w.b, arg.n, value, parts, sides, w)
+    return SymbolTrace(w.a, w.b, arg.n, prod(parts.values()), parts, sides, w)
 
 
 def _symbol(a: _Arg, b: _Arg, c: _Arg) -> SymbolTrace:
@@ -375,7 +337,7 @@ def verify_twist_independence(a, b, c) -> list[tuple[int, int, int, int, int]]:
     """Evaluate [a, b, c] from other witnesses of (a, b) and compare with redei_symbol.
 
     The other witnesses come from the next two conic points and from twists of
-    the least witness by two members of the twisting group; the value depends
+    the least witness by the first two generators of the twisting group; the value depends
     on neither choice.  Returns (a, b, c, value, other) for each witness that
     gives another value, on the square classes of the arguments."""
     trace = redei_symbol(a, b, c)
@@ -383,7 +345,7 @@ def verify_twist_independence(a, b, c) -> list[tuple[int, int, int, int, int]]:
     if w is None:
         raise TrivialClass("twist independence needs nontrivial classes")
     alternates = [witness_from_solution(a, b, sol) for sol in enumerate_solutions(a, b, 3)[1:]]
-    alternates += [twist_witness(w, t) for t in twisting_group(a, b).sample()[:2]]
+    alternates += [twist_witness(w, t) for t in twisting_group(a, b).generators[:2]]
     return [
         (a, b, c, trace.value, other)
         for other in (_symbol_from_witness(alt, c).value for alt in alternates)

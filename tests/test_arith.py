@@ -64,6 +64,14 @@ def test_factor_errors():
     assert factor(1009, bound=100) == [(1009, 1)]
 
 
+def test_padic_val_rejects_a_base_below_2():
+    # n % 1 == 0 for every n, so a valuation at 1 or -1 would never end
+    assert padic_val(-12, 2) == 2 and padic_val(12, 3) == 1 and padic_val(12, 4) == 1
+    for p in (0, 1, -1):
+        with pytest.raises(InvariantViolated):
+            padic_val(12, p)
+
+
 def test_square_class_examples():
     assert square_class(12) == 3
     assert square_class(-4) == -1

@@ -495,3 +495,35 @@ def test_cli_contract(argv):
             code = exc.code
     assert code in (0, 2, 3, 4, 5, 6), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+OPTIMIZE_PARITY = (
+    ("symbol", "-20", "41", "5", "--trace", "--json"),
+    ("symbol", "-1", "-1", "3"),
+    ("ranks", "-205", "--oracle", "--json"),
+    ("ranks", "1"),
+    ("verify", "reciprocity", "--max", "12", "--json"),
+    ("verify", "product-formula", "--max", "50", "--seed", "7", "--json"),
+)
+
+
+def test_cli_is_the_same_under_python_O():
+    # python -O strips assert statements, so an invariant kept by one would
+    # change an answer or an exit code: each command gives the same bytes and
+    # the same exit code with and without it
+    env = dict(os.environ, PYTHONPATH=str(Path(redei.__file__).parents[1]))
+    env.pop("PYTHONOPTIMIZE", None)
+    env.pop("REDEI_FACTOR_BOUND", None)
+    for argv in OPTIMIZE_PARITY:
+        plain, optimized = (
+            subprocess.run(
+                [sys.executable, *flags, "-m", "redei.cli", *argv], capture_output=True, env=env, timeout=60
+            )
+            for flags in ((), ("-O",))
+        )
+        assert (optimized.stdout, optimized.stderr, optimized.returncode) == (
+            plain.stdout,
+            plain.stderr,
+            plain.returncode,
+        ), argv
+        assert plain.stdout or plain.stderr, argv

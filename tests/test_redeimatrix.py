@@ -1,4 +1,5 @@
 import random
+import sys
 from math import prod
 from types import SimpleNamespace
 
@@ -265,3 +266,29 @@ def test_ranks_factors_once(d, capsys):
     assert main(["ranks", str(d), "--json"]) == 0
     assert arith._factor_abs.cache_info().misses == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("d", [-262723337047, 470446520314])
+def test_ranks_canonicalizes_d_once(d, capsys):
+    # `redei ranks d` takes two square classes (the input's, and the check in
+    # fundamental_discriminant), and reads both that D is fundamental and its
+    # parts from one more factorization, that of D
+    from redei import arith
+    from redei.cli import main
+
+    watched = {arith.square_class.__code__: "square_class", arith._factorization.__code__: "_factorization"}
+    calls = dict.fromkeys(watched.values(), 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls[watched[frame.f_code]] += 1
+
+    _clear_memos()
+    sys.setprofile(profile)
+    try:
+        code = main(["ranks", str(d), "--json"])
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert code == 0
+    assert calls == {"square_class": 2, "_factorization": 3}

@@ -145,3 +145,19 @@ def test_one_place_per_formula():
         if hasattr(importlib.import_module(info.name), "second_kind_decompositions")
     ]
     assert not hasattr(redei, "second_kind_decompositions") and not holders, holders
+
+
+def test_square_class_arithmetic_lives_in_arith():
+    # the record of an argument, the 2-adic Hilbert test and the odd Hensel
+    # lift are each defined once, in arith, whose Newton step is written once;
+    # redeimatrix reads the records from arith and only the symbol from symbol
+    names = ("_Arg", "_record", "_arg", "_fails_at_2", "_hensel_lift")
+    defined = {name: [] for name in names}
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in defined:
+                defined[node.name].append(module)
+    assert defined == {name: ["arith"] for name in names}, defined
+    source = "".join(path.read_text() for path in sorted(PACKAGE.rglob("*.py")))
+    assert source.count("pow(2 * r, -1") == 1
+    assert _private_imports("redeimatrix.py", ("symbol",)) == ["symbol._symbol"]

@@ -21,6 +21,8 @@ from redei.conic import enumerate_solutions, solve
 from redei.errors import DegenerateSquareClass, InvalidTriple, TrivialClass
 from redei.quadfield import QuadElt, split_units
 from redei.symbol import (
+    A_SIDE,
+    B_SIDE,
     ODD_ONLY,
     TWO_MINIMAL,
     UNRAMIFIED_AT_2,
@@ -326,13 +328,13 @@ def ref_ram_case(a, b):
     """The ramification case read from the two field discriminants mod 8."""
     da, db = discriminant(a), discriminant(b)
     if da % 2 == 1 and db % 2 == 1:
-        return UNRAMIFIED_AT_2, "a"
+        return UNRAMIFIED_AT_2, A_SIDE
     if da % 8 == 1:  # db even
-        return UNRAMIFIED_AT_2, "b"
+        return UNRAMIFIED_AT_2, B_SIDE
     if db % 8 == 1:  # da even
-        return UNRAMIFIED_AT_2, "a"
+        return UNRAMIFIED_AT_2, A_SIDE
     if {da % 8, db % 8} == {4, 5}:
-        return TWO_MINIMAL, "a" if da % 8 == 4 else "b"
+        return TWO_MINIMAL, A_SIDE if da % 8 == 4 else B_SIDE
     return ODD_ONLY, None
 
 
