@@ -361,10 +361,6 @@ def _arg(q) -> _Arg:
     return _record(*_class_primes(q))
 
 
-def is_squarefree(n: int) -> bool:
-    return n != 0 and square_class(n) == n
-
-
 def kronecker(a: int, n: int) -> int:
     """Kronecker symbol (a|n), fully extended to all integer n."""
     a = a if type(a) is int else _integer(a)

@@ -1,50 +1,39 @@
 """Ground truth: the narrow class group of a fundamental discriminant as the
 form class group of binary quadratic forms under proper equivalence.
 
-Definite forms are identified with their unique reduced representative; an
-indefinite class is identified with the lexicographically smallest form in its
-cycle of reduced forms, so that proper (narrow) equivalence is decided exactly
-without any unit computation.
+A definite class is identified with its unique reduced form, an indefinite one
+with the least form of its cycle of reduced forms, so proper (narrow)
+equivalence is decided exactly without any unit computation.  A form is an
+(A, B, C) tuple of ints, a class its canonical tuple or that tuple's index in
+the sorted list, and the group law `_compose_raw` then `ClassGroup._reduce`.
 
-The reduced forms are enumerated from square roots of D.  A reduced (A, B, C)
-has B*B = D mod 4A, whose roots repeat with period 2A, so each leading
-coefficient A admits a few B rather than 2A of them.  Per D, a bytearray sieve
-drops the A for which no root exists, and the rest get their roots by one CRT
-step each, from the roots for A/q and those modulo q, the power of the least
-odd prime dividing A.  What does not depend on D is tabulated once per process
-and grown on first use to the largest A asked for: that q and the CRT inverse
-for each A, and a table of square roots modulo each odd prime.  So the roots
-modulo p cost one lookup per D, and Hensel lifting gives those modulo p**k.
-A runs up to sqrt(|D|/3) for D < 0 and below sqrt(D)/2 for D > 0, so the work
-per D is about sqrt|D| (times a few roots per A) instead of the |D|/3 or
-pi*D/16 trial divisions of a double loop over (A, B).
+The reduced forms come from square roots of D.  A reduced (A, B, C) has
+B*B = D mod 4A, whose roots repeat with period 2A.  Per D, a bytearray sieve
+drops the A with no root, and the rest get their roots by one CRT step each,
+from those for A/q and those modulo q, the power of the least odd prime
+dividing A.  What does not depend on D is tabulated once per process, grown on
+first use to the largest A asked for: q and the CRT inverse for each A, and
+square roots modulo each odd prime, which Hensel lifting takes to p**k.  A runs
+up to sqrt(|D|/3) for D < 0 and below sqrt(D)/2 for D > 0: about sqrt|D| steps
+per D, not the |D|/3 or pi*D/16 of a double loop over (A, B).  No form found
+needs a further test: a common factor g of (A, B, C) would leave a form of
+discriminant D/g**2, which a fundamental D is not, and for D > 0 the range of
+B walked for each A is the reduction condition.
 
-The enumeration needs no further test.  Every form it yields is primitive: a
-common factor g of (A, B, C) would leave a form of discriminant D/g**2, and a
-fundamental D is no square multiple of another discriminant.  For D > 0 the
-range of B it walks for each A is exactly the reduction condition, so every
-form it yields is reduced.
-
-A form is an (A, B, C) tuple of ints and a class is its canonical tuple or
-that tuple's index in the sorted list.  The group law is `_compose_raw`
-followed by `ClassGroup._reduce`.
-
-Cost.  For D < 0 the reduced forms are the classes.  For D > 0 the walks start
-only from the start forms, with 0 < A and 4A**2 < D, about 36% of the reduced
-forms near D = 10**6.  Each one not yet seen starts a walk of its cycle, which maps
-every form of the cycle to the class; the mirror cycle under
-(A, B, C) -> (-A, B, -C) is read off that walk without a second one.  Every
-cycle or its mirror holds a start form (the two lemmas at `enumerate_classes`),
-so the walks stop as soon as every start form lies on a walked cycle: their
-number, one per root x mod 2A, is counted first from the residues mod q alone,
-and each walk subtracts those of its cycle and mirror.  The last new cycle
-typically appears within the first few percent of them.  The ranks see only
-the 2-Sylow subgroup S of the class group, of order 2**e where h = 2**e * m
-with m odd: S is built as G**m from the m-th powers of a few classes, closed by
-coset products, and the squaring map takes one Dirichlet composition and one
-reduction per element of S.  At the default bound |D| <= 10**6 this is about a
-millisecond per D, after tables of about 55 KB built once in a few
-milliseconds; `bound` admits larger D.
+Cost.  For D < 0 the reduced forms are the classes, and h is counted: an A
+with 4A**2 < -D has one reduced form per root, and the number of roots is
+multiplicative in A, so only the band 4A**2 >= -D takes CRT steps.  The forms
+are streamed in sorted order, computed only as far as they are read.  For
+D > 0 the cycle walks start only from the forms with 0 < A and 4A**2 < D, about
+36% of the reduced forms near D = 10**6; each walk also gives the mirror cycle
+under (A, B, C) -> (-A, B, -C), and the walks stop once every such form lies
+on a walked cycle (see `enumerate_classes`), typically within the first few
+percent of them.  The ranks see only the 2-Sylow subgroup S of order 2**e,
+where h = 2**e * m with m odd: S is G**m, built from the m-th powers of the
+first few classes and closed by coset products, so the D < 0 forms are listed
+only when m = 1, and squaring takes one composition per element of S.  At the
+default bound |D| <= 10**6 this is about half a millisecond per D, after
+tables of about 55 KB built once in a few milliseconds.
 """
 
 from __future__ import annotations
@@ -143,22 +132,30 @@ def _compose_raw(f1, f2, D: int) -> tuple[int, int, int]:
 class ClassGroup:
     """Finite abelian group of form classes of one fundamental discriminant.
 
-    The classes are held as their sorted canonical tuples (A, B, C) in `_reps`,
-    the identity as `_identity`, and `_reduce` maps any primitive form of
-    discriminant D to the canonical tuple of its class.
+    `order` is h, `_identity` the identity, and `_reduce` maps any primitive
+    form of discriminant D to the canonical tuple (A, B, C) of its class.
+    `_forms()` streams the canonical tuples in sorted order, and `_reps` lists
+    them on first read.  For D < 0, h is counted, and the stream computes
+    forms only as far as it is read.
     """
 
-    def __init__(self, D: int, reps: list[tuple[int, int, int]], canon: dict | None = None):
-        self.D = D
-        self._reps = reps
+    def __init__(self, D: int, reps, canon: dict | None = None, order: int | None = None):
+        self.D, self._list = D, None
+        self.order = len(reps) if order is None else order  # else reps() streams them
+        self._forms = reps.__iter__ if order is None else reps
         self._canon = canon  # D > 0: every reduced form -> its canonical tuple
         self._isq = isqrt(D) if D > 0 else 0
         b0 = D % 2
         self._identity = self._reduce((1, b0, (b0 * b0 - D) // 4))
 
     @property
-    def order(self) -> int:
-        return len(self._reps)
+    def _reps(self) -> list[tuple[int, int, int]]:
+        if self._list is None:
+            reps = list(self._forms())
+            if len(reps) != self.order:
+                raise InvariantViolated(f"D = {self.D}: {len(reps)} reduced forms, {self.order} counted")
+            self._list = reps
+        return self._list
 
     def _reduce(self, form: tuple[int, int, int]) -> tuple[int, int, int]:
         """The canonical tuple of the class of a primitive form of discriminant D."""
@@ -276,30 +273,25 @@ def _residues(D: int, amax: int):
     return ok, two, roots
 
 
-def _root_count(residues) -> int:
-    """The number of pairs (A, x) that `_roots(residues)` yields, without CRT.
-
-    The number of roots rho(A) is multiplicative: rho(A) = rho(A/q) * len(roots[q]).
-    """
+def _root_count(residues, amax: int | None = None) -> int:
+    """The number of pairs (A, x) with A <= amax that `_roots(residues)` yields,
+    without CRT: rho(A), the number of roots, is rho(A/q) * len(roots[q])."""
     ok, two, roots = residues
     rho = [0] * len(ok)
-    for A in compress(range(len(ok)), ok):
+    for A in compress(range(len(ok) if amax is None else amax + 1), ok):
         q = _LPP[A]
         rho[A] = len(two[A.bit_length() - 1]) if q == 1 else rho[A // q] * len(roots[q])
     return sum(rho)
 
 
-def _roots(residues):
-    """Yield (A, xs) for the A that `residues` admits, in increasing order, where
-    xs lists the x in [0, 2A) with x*x = D mod 4A.
-
-    A reduced form (A, B, C) of discriminant D has B = x mod 2A for one of them.
-    The roots for A come by one CRT step from those for A/q, already yielded,
-    and those modulo q.
-    """
+def _roots(residues, wanted=None):
+    """Yield (A, xs) for the A of `wanted`, by default every A that `residues`
+    admits, in increasing order, where xs lists the x in [0, 2A) with x*x = D mod 4A.
+    The roots for A come by one CRT step from those for A/q, which `wanted`
+    holds before A, and those modulo q."""
     ok, two, roots = residues
     memo = [None] * len(ok)
-    for A in compress(range(len(ok)), ok):
+    for A in compress(range(len(ok)), ok) if wanted is None else wanted:
         q = _LPP[A]
         if q == 1:
             xs = two[A.bit_length() - 1]
@@ -310,20 +302,31 @@ def _roots(residues):
         yield A, xs
 
 
-def _enumerate_definite(D: int) -> list[tuple[int, int, int]]:
-    out = []
-    for A, xs in _roots(_residues(D, isqrt(-D // 3))):
-        for x in xs:
-            B = x - 2 * A if x > A else x  # the root in (-A, A]
+def _definite_forms(D: int, residues, wanted=None):
+    """Yield the reduced forms (A, B, C) of discriminant D < 0 with A in
+    `wanted` (as for `_roots`), in sorted order."""
+    for A, xs in _roots(residues, wanted):
+        for B in sorted([x - 2 * A if x > A else x for x in xs]):  # the root in (-A, A]
             C = (B * B - D) // (4 * A)
-            if C < A:
-                continue
-            if B < 0 and (A == C or B == -A):
-                continue
-            # no primitivity test: (A, B, C)/g would have discriminant D/g**2,
-            # and a fundamental D is no square multiple of a discriminant
-            out.append((A, B, C))
-    return sorted(out)
+            if C > A or C == A and B >= 0:
+                yield A, B, C
+
+
+def _enumerate_definite(D: int) -> list[tuple[int, int, int]]:
+    return list(_definite_forms(D, _residues(D, isqrt(-D // 3))))
+
+
+def _definite_order(D: int, residues) -> int:
+    """h(D) for D < 0, the number of reduced forms, counted.  For 4A**2 < -D,
+    each root x gives one: its B in (-A, A] has C = (B*B - D)/4A > A.  Only
+    the band 4A**2 >= -D takes roots, with the A/q each CRT step reads."""
+    ok, lim, wanted = residues[0], isqrt(-D - 1) // 2, set()
+    for A in compress(range(lim + 1, len(ok)), ok[lim + 1 :]):
+        while A not in wanted:  # a power of 2 ends the chain: its q is 1
+            wanted.add(A)
+            A //= _LPP[A]
+    band = sum(A > lim for A, _, _ in _definite_forms(D, residues, sorted(wanted)))
+    return _root_count(residues, lim) + band
 
 
 def enumerate_classes(D: int, bound: int = DEFAULT_ORACLE_BOUND) -> ClassGroup:
@@ -333,7 +336,8 @@ def enumerate_classes(D: int, bound: int = DEFAULT_ORACLE_BOUND) -> ClassGroup:
     if abs(D) > bound:
         raise BoundExceeded(f"|{D}| exceeds the oracle bound {bound}")
     if D < 0:
-        return ClassGroup(D, _enumerate_definite(D))
+        residues = _residues(D, isqrt(-D // 3))
+        return ClassGroup(D, lambda: _definite_forms(D, residues), order=_definite_order(D, residues))
     # Lemma 1: every cycle holds a form with 4A**2 < D.  A reduced form has
     # |A|*|C| = (D - B*B)/4 < D/4, so 4A**2 < D or 4C**2 < D, and rho moves C
     # into the leading place.
@@ -400,7 +404,7 @@ def _ranks(group: ClassGroup) -> tuple[int, int, int]:
         sylow = group._reps
     else:
         S = dict.fromkeys([group._identity])  # an ordered set, identity first
-        for f in group._reps:
+        for f in group._forms():  # read only as far as the closure needs
             if len(S) == two:
                 break
             g = f  # g = f**m, by square-and-multiply over the bits of m
@@ -426,11 +430,7 @@ def _ranks(group: ClassGroup) -> tuple[int, int, int]:
     for _ in range(4):
         counts.append(powers.count(identity))
         powers = [square[i] for i in powers]
-    out = []
-    for k in range(3):
-        ratio = counts[k + 1] // counts[k]
-        out.append(ratio.bit_length() - 1)
-    return tuple(out)
+    return tuple((counts[k + 1] // counts[k]).bit_length() - 1 for k in range(3))
 
 
 def narrow_ranks(D: int) -> tuple[int, int, int]:

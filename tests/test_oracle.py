@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import islice
 from math import gcd, isqrt
 
 import pytest
@@ -267,6 +268,68 @@ def test_class_number_formula():
         assert total % D == 0, D
         assert enumerate_classes(D).order == total // D, D
         checked += 1
+
+
+# --- h(D < 0) counted, the reduced forms streamed in sorted order and listed on demand
+
+
+def band_edges() -> list[int]:
+    """The fundamental D within 8 of -4A**2 and -3A**2, A <= 600: where the band
+    4A**2 >= -D of the leading coefficients that take roots starts and ends."""
+    near = {-k * A * A + e for A in range(1, 601) for k in (3, 4) for e in range(-8, 9)}
+    return sorted(D for D in near if D < 0 and is_fundamental_discriminant(D))
+
+
+def test_counted_order_matches_the_list():
+    sample = [D for D in range(-20000, -2) if is_fundamental_discriminant(D)]
+    sample += band_edges() + [D for D in large_sample() if D < 0]
+    for D in sample:
+        g = enumerate_classes(D, bound=-D)
+        forms = oracle._enumerate_definite(D)
+        k = 1 + -D % g.order
+        if g.order != len(forms) or list(islice(g._forms(), k)) != forms[:k]:
+            pytest.fail(f"D = {D}: h = {g.order} counted, {len(forms)} forms listed")
+
+
+def test_ranks_list_the_forms_only_when_h_is_a_power_of_two(monkeypatch):
+    reps = oracle.ClassGroup._reps
+
+    def refuse(group):
+        pytest.fail(f"D = {group.D}: the forms of h = {group.order} were listed")
+
+    monkeypatch.setattr(oracle.ClassGroup, "_reps", property(refuse))
+    large = [D for D in large_sample() if D < 0][0]
+    for D, h in [(-23, 3), (-47, 5), (large, 136)]:
+        assert enumerate_classes(D).order == h
+        assert narrow_ranks(D) == (r2(D), r4(D), r8(D)), D
+    listed = []
+    monkeypatch.setattr(oracle.ClassGroup, "_reps", property(lambda g: listed.append(g.D) or reps.fget(g)))
+    assert narrow_ranks(-820) == (2, 1, 0)
+    assert listed == [-820]
+
+
+def test_listing_checks_the_counted_order():
+    # h counted one too high: reading the list raises, also under python -O,
+    # and so do the ranks once h = 7 + 1 is taken for a power of 2
+    script = (
+        "from redei import oracle\n"
+        "from redei.errors import InvariantViolated\n"
+        "count = oracle._root_count\n"
+        "oracle._root_count = lambda residues, amax=None: count(residues, amax) + 1\n"
+        "for D in (-23, -820, -71):\n"
+        "    try:\n"
+        "        oracle.narrow_ranks(D) if D == -71 else oracle.enumerate_classes(D)._reps\n"
+        "    except InvariantViolated as e:\n"
+        "        print(e)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(oracle.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "D = -23: 3 reduced forms, 4 counted",
+        "D = -820: 8 reduced forms, 9 counted",
+        "D = -71: 7 reduced forms, 8 counted",
+    ]
 
 
 @st.composite

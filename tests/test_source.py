@@ -136,9 +136,12 @@ def test_factor_bound_is_read_and_set_in_arith_alone():
 
 def test_one_place_per_formula():
     # p* = +-p is written once, in arith, and the second-kind decompositions are
-    # built one way, as the rows of R8; their brute force is a test reference
+    # built one way, as the rows of R8; their brute force is a test reference.
+    # The oracle's roots mod 2A come from one CRT step, which the count of
+    # h(D < 0) shares with the lister
     source = "".join(path.read_text() for path in sorted(PACKAGE.rglob("*.py")))
     assert source.count("p if p % 4 == 1 else -p") == 1
+    assert (PACKAGE / "oracle.py").read_text().count("x + M * ((r - x) * inv % q)") == 1
     holders = [
         info.name
         for info in pkgutil.iter_modules(redei.__path__, "redei.")
