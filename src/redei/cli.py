@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import combinations, islice
 
 from . import arith
-from .arith import INFINITY, discriminant, hilbert_product, square_class
+from .arith import discriminant, hilbert_product, square_class
 from .errors import (
     BoundExceeded,
     DegenerateSquareClass,
@@ -76,10 +76,6 @@ def _emit(record: dict, as_json: bool, text: str):
         print(text)
 
 
-def _place_key(v) -> str:
-    return "infinity" if v is INFINITY else str(v)
-
-
 # Each command returns (record, text, exit code), and main adds the envelope:
 # "schema", "command" and, under --timing, "timing_ms".
 def cmd_symbol(args) -> tuple[dict, str, int]:
@@ -92,8 +88,8 @@ def cmd_symbol(args) -> tuple[dict, str, int]:
     lines = [f"{trace.value:+d}"]
     if args.trace:
         record["trace"] = {
-            "parts": {_place_key(v): s for v, s in trace.parts.items()},
-            "sides": {_place_key(v): s for v, s in trace.sides.items()},
+            "parts": {str(v): s for v, s in trace.parts.items()},
+            "sides": {str(v): s for v, s in trace.sides.items()},
         }
         if trace.witness is not None:
             w = trace.witness
@@ -104,8 +100,8 @@ def cmd_symbol(args) -> tuple[dict, str, int]:
                 f"witness: solution {(w.solution.x, w.solution.y, w.solution.z)}"
                 f" twist {w.twist} case {w.ram_case}"
             )
-        for v in sorted(trace.parts, key=_place_key):
-            lines.append(f"part at {_place_key(v)}: {trace.parts[v]:+d}")
+        for v in sorted(trace.parts, key=str):
+            lines.append(f"part at {v}: {trace.parts[v]:+d}")
     return record, "\n".join(lines), EXIT_OK
 
 
@@ -256,7 +252,7 @@ def cmd_verify(args) -> tuple[dict, str, int]:
     record = {
         "inputs": {"suite": args.suite, "max": n, "seed": args.seed},
         "checked": checked,
-        "violations": [list(map(str, v)) if isinstance(v, tuple) else v for v in violations],
+        "violations": [list(map(str, v)) for v in violations],
         "result": "ok" if not violations else "fail",
     }
     text = f"{args.suite}: {checked} items checked, {len(violations)} violations"

@@ -20,20 +20,22 @@ needs a further test: a common factor g of (A, B, C) would leave a form of
 discriminant D/g**2, which a fundamental D is not, and for D > 0 the range of
 B walked for each A is the reduction condition.
 
-Cost.  For D < 0 the reduced forms are the classes, and h is counted: an A
-with 4A**2 < -D has one reduced form per root, and the number of roots is
-multiplicative in A, so only the band 4A**2 >= -D takes CRT steps.  The forms
-are streamed in sorted order, computed only as far as they are read.  For
-D > 0 the cycle walks start only from the forms with 0 < A and 4A**2 < D, about
-36% of the reduced forms near D = 10**6; each walk also gives the mirror cycle
-under (A, B, C) -> (-A, B, -C), and the walks stop once every such form lies
-on a walked cycle (see `enumerate_classes`), typically within the first few
-percent of them.  The ranks see only the 2-Sylow subgroup S of order 2**e,
-where h = 2**e * m with m odd: S is G**m, built from the m-th powers of the
-first few classes and closed by coset products, so the D < 0 forms are listed
-only when m = 1, and squaring takes one composition per element of S.  At the
-default bound |D| <= 10**6 this is about half a millisecond per D, after
-tables of about 55 KB built once in a few milliseconds.
+Cost.  Either sign builds one `ClassGroup` from h and a function that streams
+the classes in sorted order.  For D < 0 the reduced forms are the classes, and
+h is counted: an A with 4A**2 < -D has one reduced form per root, and the
+number of roots is multiplicative in A, so only the band 4A**2 >= -D takes CRT
+steps; the stream computes the forms only as far as it is read.  For D > 0 the
+classes are listed, h is their number, and the cycle walks that find them start
+only from the forms with 0 < A and 4A**2 < D, about 36% of the reduced forms
+near D = 10**6; each walk also gives the mirror cycle under
+(A, B, C) -> (-A, B, -C), and the walks stop once every such form lies on a
+walked cycle (see `enumerate_classes`), typically within the first few percent
+of them.  The ranks see only the 2-Sylow subgroup S of order 2**e, where
+h = 2**e * m with m odd: S is G**m, built from the m-th powers of the first few
+classes and closed by coset products, so the D < 0 forms are listed only when
+m = 1, and squaring takes one composition per element of S.  At the default
+bound |D| <= 10**6 this is about half a millisecond per D, after tables of
+about 55 KB built once in a few milliseconds.
 """
 
 from __future__ import annotations
@@ -62,21 +64,18 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _reduce_definite(A: int, B: int, C: int) -> tuple[int, int, int]:
+    """The reduced form properly equivalent to a positive definite (A, B, C):
+    Cohen, GTM 138, Algorithm 5.4.2."""
     while True:
-        if A > C:
-            A, B, C = C, -B, A
-            continue
-        if B > A or B <= -A:
+        if B > A or B <= -A:  # the Euclidean step: B into (-A, A]
             r = B % (2 * A)
             if r > A:
                 r -= 2 * A
-            C = C + (r * r - B * B) // (4 * A)
+            C += (r * r - B * B) // (4 * A)
             B = r
-            continue
-        if B < 0 and (A == C or B == -A):
-            B = -B
-            continue
-        return A, B, C
+        if A <= C:
+            return (A, -B, C) if A == C and B < 0 else (A, B, C)
+        A, B, C = C, -B, A
 
 
 def _rho(A: int, B: int, C: int, D: int, isq: int) -> tuple[int, int, int]:
@@ -132,17 +131,17 @@ def _compose_raw(f1, f2, D: int) -> tuple[int, int, int]:
 class ClassGroup:
     """Finite abelian group of form classes of one fundamental discriminant.
 
-    `order` is h, `_identity` the identity, and `_reduce` maps any primitive
-    form of discriminant D to the canonical tuple (A, B, C) of its class.
-    `_forms()` streams the canonical tuples in sorted order, and `_reps` lists
-    them on first read.  For D < 0, h is counted, and the stream computes
-    forms only as far as it is read.
+    `order` is h, and `forms` a function that returns a fresh stream of the
+    canonical tuples (A, B, C) in sorted order: `_forms()` is that stream, and
+    `_reps` lists it on first read and checks its length against h.  For D < 0,
+    h is counted and the stream computes forms only as far as it is read; for
+    D > 0, the cycle walk lists the classes and the stream reads that list.
+    `_identity` is the identity, and `_reduce` maps any primitive form of
+    discriminant D to the canonical tuple of its class.
     """
 
-    def __init__(self, D: int, reps, canon: dict | None = None, order: int | None = None):
-        self.D, self._list = D, None
-        self.order = len(reps) if order is None else order  # else reps() streams them
-        self._forms = reps.__iter__ if order is None else reps
+    def __init__(self, D: int, order: int, forms, canon: dict | None = None):
+        self.D, self.order, self._forms, self._list = D, order, forms, None
         self._canon = canon  # D > 0: every reduced form -> its canonical tuple
         self._isq = isqrt(D) if D > 0 else 0
         b0 = D % 2
@@ -312,10 +311,6 @@ def _definite_forms(D: int, residues, wanted=None):
                 yield A, B, C
 
 
-def _enumerate_definite(D: int) -> list[tuple[int, int, int]]:
-    return list(_definite_forms(D, _residues(D, isqrt(-D // 3))))
-
-
 def _definite_order(D: int, residues) -> int:
     """h(D) for D < 0, the number of reduced forms, counted.  For 4A**2 < -D,
     each root x gives one: its B in (-A, A] has C = (B*B - D)/4A > A.  Only
@@ -337,7 +332,7 @@ def enumerate_classes(D: int, bound: int = DEFAULT_ORACLE_BOUND) -> ClassGroup:
         raise BoundExceeded(f"|{D}| exceeds the oracle bound {bound}")
     if D < 0:
         residues = _residues(D, isqrt(-D // 3))
-        return ClassGroup(D, lambda: _definite_forms(D, residues), order=_definite_order(D, residues))
+        return ClassGroup(D, _definite_order(D, residues), lambda: _definite_forms(D, residues))
     # Lemma 1: every cycle holds a form with 4A**2 < D.  A reduced form has
     # |A|*|C| = (D - B*B)/4 < D/4, so 4A**2 < D or 4C**2 < D, and rho moves C
     # into the leading place.
@@ -383,7 +378,7 @@ def enumerate_classes(D: int, bound: int = DEFAULT_ORACLE_BOUND) -> ClassGroup:
     if left:
         raise InvariantViolated(f"D = {D}: {left} start forms lie on no cycle")
     reps.sort()
-    return ClassGroup(D, reps, canon)
+    return ClassGroup(D, len(reps), reps.__iter__, canon)
 
 
 def _ranks(group: ClassGroup) -> tuple[int, int, int]:
@@ -400,7 +395,7 @@ def _ranks(group: ClassGroup) -> tuple[int, int, int]:
 
     two = group.order & -group.order
     m = group.order // two
-    if m == 1:
+    if m == 1:  # S is G: its list costs less than its closure, which took 1.5x as long
         sylow = group._reps
     else:
         S = dict.fromkeys([group._identity])  # an ordered set, identity first

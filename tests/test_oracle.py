@@ -100,6 +100,11 @@ def test_two_rank_is_t_minus_one():
 # three-pass ranks; and the squaring map over all classes, which the 2-Sylow ranks replaced
 
 
+def enumerate_definite(D: int) -> list[tuple[int, int, int]]:
+    """The reduced forms of D < 0 in sorted order: the oracle's stream, listed."""
+    return list(oracle._definite_forms(D, oracle._residues(D, isqrt(-D // 3))))
+
+
 def ref_enumerate_definite(D: int) -> list[tuple[int, int, int]]:
     out = []
     amax = isqrt(-D // 3)
@@ -217,7 +222,7 @@ def ref_ranks_all_squares(group) -> tuple[int, int, int]:
 def assert_matches_reference(D: int):
     g = enumerate_classes(D)
     if D < 0:
-        assert oracle._enumerate_definite(D) == sorted(ref_enumerate_definite(D)), D
+        assert enumerate_definite(D) == sorted(ref_enumerate_definite(D)), D
     else:
         forms = ref_enumerate_indefinite(D)
         assert sorted(g._canon) == forms, D
@@ -230,6 +235,31 @@ def test_enumeration_matches_reference_exhaustively():
     for D in range(-20000, 20001):
         if is_fundamental_discriminant(D):
             assert_matches_reference(D)
+
+
+def test_reduce_definite_undoes_random_words():
+    # each reduced form f with |D| <= 3000, moved by a seeded word in
+    # S: (A, B, C) -> (C, -B, A) and T**k: (A, B, C) -> (A, B + 2kA, C + kB + k*k*A),
+    # reduces back to f; the forms with A == C or B == A are the edge cases
+    rng = random.Random(1039)
+    edges = {"A == C": 0, "B == A": 0}
+    for D in range(-3000, -2):
+        if not is_fundamental_discriminant(D):
+            continue
+        for f in enumerate_classes(D)._forms():
+            A, B, C = f
+            edges["A == C"] += A == C and B > 0
+            edges["B == A"] += B == A
+            for _ in range(3):
+                g = f
+                for _ in range(rng.randint(1, 8)):
+                    a, b, c = g
+                    k = rng.randint(-4, 4)
+                    g = (c, -b, a) if rng.random() < 0.5 else (a, b + 2 * k * a, c + k * b + k * k * a)
+                got = oracle._reduce_definite(*g)
+                if got != f:
+                    pytest.fail(f"D = {D}: {g} reduces to {got}, not {f}")
+    assert min(edges.values()) > 100, edges
 
 
 def large_sample() -> list[int]:
@@ -285,7 +315,7 @@ def test_counted_order_matches_the_list():
     sample += band_edges() + [D for D in large_sample() if D < 0]
     for D in sample:
         g = enumerate_classes(D, bound=-D)
-        forms = oracle._enumerate_definite(D)
+        forms = enumerate_definite(D)
         k = 1 + -D % g.order
         if g.order != len(forms) or list(islice(g._forms(), k)) != forms[:k]:
             pytest.fail(f"D = {D}: h = {g.order} counted, {len(forms)} forms listed")
@@ -443,7 +473,7 @@ def test_public_surface_over_tuples():
     for D in sample:
         g = enumerate_classes(D)
         if D < 0:
-            reps = oracle._enumerate_definite(D)
+            reps = enumerate_definite(D)
         else:
             reps = sorted(set(ref_canon(sqrt_enumerate_indefinite(D), D).values()))
         mul, _ = group_law(g)

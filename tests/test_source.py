@@ -164,3 +164,23 @@ def test_square_class_arithmetic_lives_in_arith():
     source = "".join(path.read_text() for path in sorted(PACKAGE.rglob("*.py")))
     assert source.count("pow(2 * r, -1") == 1
     assert _private_imports("redeimatrix.py", ("symbol",)) == ["symbol._symbol"]
+
+
+def test_one_class_group_constructor():
+    # both signs build a ClassGroup from h and a function that streams the
+    # classes; the D < 0 lister is a test helper, and a place's key is str
+    modules = _modules()
+    classes = [n for n in ast.walk(modules["oracle"]) if isinstance(n, ast.ClassDef)]
+    group = next(n for n in classes if n.name == "ClassGroup")
+    init = next(n for n in group.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+    args = init.args
+    assert [a.arg for a in args.args] == ["self", "D", "order", "forms", "canon"]
+    assert [ast.literal_eval(d) for d in args.defaults] == [None]
+    assert not (args.posonlyargs or args.kwonlyargs or args.vararg or args.kwarg)
+    gone = [
+        f"{module}:{node.lineno}"
+        for module, tree in modules.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in ("_enumerate_definite", "_place_key")
+    ]
+    assert not gone, gone
