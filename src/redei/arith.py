@@ -335,7 +335,7 @@ class _Arg:
     A plain slots class, not a tuple, because the validators read its fields in
     their inner loops; _arg shares each instance, so none is ever changed."""
 
-    __slots__ = ("n", "negative", "even", "odd", "eps", "omega")
+    __slots__ = ("n", "negative", "even", "odd", "eps", "omega", "local")
 
     def __init__(self, n: int, negative: bool, even: int, odd: tuple[int, ...], eps: int, omega: int):
         self.n = n  # the squarefree class
@@ -346,6 +346,9 @@ class _Arg:
         # (n' - 1)/2 and (n'^2 - 1)/8, each mod 2
         self.eps = eps
         self.omega = omega
+        # the class of n in R*/R*^2 x Q_2*/Q_2*^2, one of 16 codes: every
+        # condition of a triple at infinity and at 2 reads only these bits
+        self.local = negative << 3 | even << 2 | eps << 1 | omega
 
 
 def _record(n: int, primes) -> _Arg:

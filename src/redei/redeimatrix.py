@@ -185,17 +185,22 @@ def build_R8(D: int) -> RedeiMatrixR8:
     return RedeiMatrixR8(D, tuple(decs), tuple(cols), tuple(rows))
 
 
-def r8(D: int) -> int:
-    rk4 = r4(D)
+def _r8(D: int, rk4: int) -> int:
+    """r8(D) from rk4 = r4(D)."""
     if rk4 == 0:  # R8 would cost ~8 us here, more than the ~2 us r4 call it could replace
         return 0
     return rk4 - build_R8(D).rank()
 
 
+def r8(D: int) -> int:
+    return _r8(D, r4(D))
+
+
 def ranks(d: int) -> tuple[int, int, int]:
     """(r2, r4, r8) of the narrow class group of Q(sqrt d), d squarefree."""
     D = fundamental_discriminant(d)
-    return r2(D), r4(D), r8(D)
+    rk4 = r4(D)
+    return r2(D), rk4, _r8(D, rk4)
 
 
 class GoverningReport(namedtuple("GoverningReport", "d bound classes violations")):

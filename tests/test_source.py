@@ -184,3 +184,32 @@ def test_one_class_group_constructor():
         if isinstance(node, ast.FunctionDef) and node.name in ("_enumerate_definite", "_place_key")
     ]
     assert not gone, gone
+
+
+def test_local_code_is_set_once():
+    # the 2-adic Hilbert formula is written once, in arith._fails_at_2, and
+    # the triple test's table is built through it; a record's local code is
+    # set in _Arg.__init__ alone, so the table's index is the record's class
+    source = "".join(path.read_text() for path in sorted(PACKAGE.rglob("*.py")))
+    assert source.count("u.eps & w.eps") == 1
+    modules = _modules()
+    record = next(n for n in ast.walk(modules["arith"]) if isinstance(n, ast.ClassDef) and n.name == "_Arg")
+    init = next(n for n in record.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+    expected = {
+        f"arith:{node.lineno}"
+        for node in ast.walk(init)
+        if isinstance(node, ast.Assign) and any(getattr(t, "attr", None) == "local" for t in node.targets)
+    }
+    found = set()
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            if any(isinstance(t, ast.Attribute) and t.attr == "local" for t in targets):
+                found.add(f"{module}:{node.lineno}")
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "setattr"
+                and any(isinstance(a, ast.Constant) and a.value == "local" for a in node.args)
+            ):
+                found.add(f"{module}:{node.lineno}")
+    assert len(expected) == 1 and found == expected, found

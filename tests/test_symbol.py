@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from redei.arith import (
     INFINITY,
     _fails_at_odd,
+    _record,
     discriminant,
     hilbert,
     kronecker,
@@ -18,7 +19,14 @@ from redei.arith import (
     square_class,
 )
 from redei.conic import enumerate_solutions, solve
-from redei.errors import DegenerateSquareClass, InvalidTriple, TrivialClass
+from redei.errors import (
+    DegenerateSquareClass,
+    FactorLimitExceeded,
+    InvalidTriple,
+    InvariantViolated,
+    TrivialClass,
+    ZeroInput,
+)
 from redei.quadfield import QuadElt, split_units
 from redei.symbol import (
     A_SIDE,
@@ -451,6 +459,63 @@ def test_validate_triple_matches_generic_hilbert(a, b, c):
         pytest.fail(f"validate_triple{(a, b, c)} = {found}, expected {expected}")
     if is_valid_triple(a, b, c) != (found == []):
         pytest.fail(f"is_valid_triple{(a, b, c)} disagrees with {found}")
+
+
+def test_local_table_matches_violations():
+    # every triple of the 16 local codes, each a record of +-n for n = 1, 3, 5,
+    # 7 and twice those: the lookup passes it iff _violations yields nothing at
+    # infinity or 2, the shared prime 2 included
+    records = [_record(n, prime_divisors(n)) for m in (1, 3, 5, 7, 2, 6, 10, 14) for n in (m, -m)]
+    if sorted(r.local for r in records) != list(range(16)):
+        pytest.fail(f"codes {[r.local for r in records]} are not the 16 local classes")
+    wrong = []
+    for a, b, c in itertools.product(records, repeat=3):
+        passes = symbol._LOCAL[a.local << 4 | b.local] >> c.local & 1
+        local = [v for v in symbol._violations(a, b, c) if v.place is INFINITY or v.place == 2]
+        if passes != (not local):
+            wrong.append((a.n, b.n, c.n))
+    if wrong:
+        pytest.fail(f"the lookup disagrees with _violations on {len(wrong)} triples: {wrong[:5]}")
+
+
+# nonzero integers with |n| <= 10**12: squarefree products of few primes, so
+# that triples often share primes or pass, any integer, and 2**k s**2 n, even
+# and not squarefree
+_nonzero = st.one_of(
+    _squarefree,
+    st.integers(-(10**12), 10**12).filter(bool),
+    st.builds(
+        lambda sign, k, s, n: sign * 2**k * s * s * n,
+        st.sampled_from((1, -1)),
+        st.integers(0, 5),
+        st.integers(1, 100),
+        st.integers(1, 10**6),
+    ),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@given(_nonzero, _nonzero, _nonzero)
+def test_is_valid_triple_matches_validate_triple(a, b, c):
+    found = validate_triple(a, b, c)
+    if is_valid_triple(a, b, c) != (found == []):
+        pytest.fail(f"is_valid_triple{(a, b, c)} disagrees with {found}")
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [(0, ZeroInput), (2.5, InvariantViolated), (16777259 * 16777289, FactorLimitExceeded)],
+)
+def test_validators_raise_on_a_bad_argument(bad, error):
+    # zero, a non-integer and a product of two primes above the factor cap,
+    # in each position, raise the same error from both validators
+    for i in range(3):
+        triple = [5, 41, -1]
+        triple[i] = bad
+        with pytest.raises(error):
+            is_valid_triple(*triple)
+        with pytest.raises(error):
+            validate_triple(*triple)
 
 
 def _pinned_triples():
