@@ -12,7 +12,7 @@ from .arith import (
     signed_prime_decomposition,
     square_class,
 )
-from .conic import ConicSolution, enumerate_solutions, is_solvable, solve, solve_pair
+from .conic import ConicSolution, chord_points, is_solvable, solve, solve_pair
 from .oracle import ClassGroup, enumerate_classes, narrow_ranks
 from .quadfield import QuadElt, split_units
 from .redeimatrix import (
@@ -48,7 +48,7 @@ __all__ = [
     "INFINITY", "SignedPrimeDecomposition", "discriminant", "factor", "hilbert",
     "hilbert_product", "kronecker", "signed_prime_decomposition", "square_class",
     # conic
-    "ConicSolution", "enumerate_solutions", "is_solvable", "solve", "solve_pair",
+    "ConicSolution", "chord_points", "is_solvable", "solve", "solve_pair",
     # oracle
     "ClassGroup", "enumerate_classes", "narrow_ranks",
     # quadfield

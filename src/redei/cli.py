@@ -244,6 +244,8 @@ def cmd_verify(args) -> tuple[dict, str, int]:
     n = args.max if args.max is not None else default_max
     if n < 0:
         raise BoundExceeded(f"--max {n} is negative")
+    if args.jobs < 1:
+        raise BoundExceeded(f"--jobs {args.jobs} is below 1")
     checked, violations = 0, []
     for out in _map_jobs(item, work_of(n, args.seed), args.jobs):
         checked += 1
@@ -306,7 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("suite", choices=sorted(_SUITES))
     p_verify.add_argument("--max", type=int, default=None, help="sweep size / bound")
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument(
+        "--jobs", type=int, default=1, help="worker processes, at most one per CPU"
+    )
     p_verify.add_argument(
         "--seed",
         type=int,

@@ -6,18 +6,17 @@ which holds a point whenever the conic has a rational one.  The box of (b, a)
 is that of (a, b) with y and z swapped, so ``solve_pair`` reads the least
 points of both orders from one search.  Below the public entries every
 function takes ``primes``: the odd p dividing a or b exactly once and neither
-of them twice, ascending.  ``solve_pair`` and ``enumerate_solutions`` read
-them once from factor(a) and factor(b), in ``_congruence_primes``;
-``solve_pair_squarefree`` takes them from a caller that already knows them,
-and factors nothing on its way to a point: only the local symbols factor
-there, read by ``is_solvable`` when the Holzer box holds no point or a large
-box falls back to the cell scan.  ``_box_solutions`` lists the primitive
-points of a box whose x is at most the count-th least x, ties included, by one
-of two exact enumerations, which return the same list:
+of them twice, ascending.  ``solve_pair`` reads them once from factor(a) and
+factor(b), in ``_congruence_primes``; ``solve_pair_squarefree`` takes them from
+a caller that already knows them, and factors nothing on its way to a point:
+only the local symbols factor there, read by ``is_solvable`` when the Holzer
+box holds no point or a large box falls back to the cell scan.
+``_box_solutions`` lists the primitive points of least x in a box, ties
+included, by one of two exact enumerations, which return the same list:
 
 * the cell scan walks each row z of the box from its first y with
   t = a*y^2 + b*z^2 >= 0, in the direction where t grows, tests t for a square,
-  and leaves the row once t passes the count-th least x^2 found so far: at most
+  and leaves the row once t passes the least x^2 found so far: at most
   O(|box|) work, cheapest on small boxes;
 * the lattice path (after Cremona and Rusin, "Efficient solution of rational
   conics", Math. Comp. 72 (2003)) uses that a primitive point satisfies, at
@@ -26,19 +25,19 @@ of two exact enumerations, which return the same list:
   the conic, gives a lattice of index about |ab| with O(1) points in the box.
   A basis reduced under the box-weighted norm and coefficient bounds taken
   exactly from the adjugate find all of them, so reduction quality affects
-  only speed.  The points past the count-th least x are then dropped.
+  only speed.  The points past the least x are then dropped.
 
 A box takes the lattice path when it has more than ``LATTICE_CELLS`` cells, a
 crossover measured against the old full-box loop (see the constant), unless
 square factors of a and b leave the lattices more candidate points than the
-box has cells.
+box has cells.  ``chord_points`` finds more points with no search, on the
+lines through one point.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from heapq import heappush, heapreplace
-from itertools import product
+from itertools import count, product
 from math import gcd, inf, isqrt, prod
 
 from .arith import factor, hilbert, hilbert_places, kronecker, sqrt_mod_p
@@ -81,29 +80,18 @@ def is_solvable(a: int, b: int) -> bool:
     return all(hilbert(a, b, v) == 1 for v in hilbert_places(a, b))
 
 
-def _least(points, count: int):
-    """The sorted points whose x is at most the count-th least x among them."""
-    if len(points) <= count:
-        return points
-    xmax, end = points[count - 1][0], count
-    while end < len(points) and points[end][0] == xmax:
-        end += 1
-    return points[:end]
-
-
-def _search(a: int, b: int, ybound: int, zbound: int, count: int):
-    """The cell scan: _least(points, count) of the primitive points with
+def _search(a: int, b: int, ybound: int, zbound: int):
+    """The cell scan: the sorted primitive points of least x with
     0 <= y <= ybound, 0 <= z <= zbound.
 
     Each row z is walked from its first y with t = a*y^2 + b*z^2 >= 0 in the
-    direction where t grows, and left once t passes the count-th least x^2
-    found so far; a point of equal x^2 is still taken.
+    direction where t grows, and left once t passes the least x^2 found so
+    far; a point of equal x^2 is still taken.
     """
     if a < 0 and b < 0:
         return []
     found = []
-    heap = []  # minus the count least x^2 found so far
-    cutoff = inf
+    cutoff = inf  # the least x^2 found so far
     for z in range(zbound + 1):
         bz = b * z * z
         if a > 0:
@@ -117,15 +105,11 @@ def _search(a: int, b: int, ybound: int, zbound: int, count: int):
             x = isqrt(t)
             if x * x != t or gcd(gcd(x, y), z) != 1:
                 continue
+            if t < cutoff:
+                found, cutoff = [], t
             found.append((x, y, z))
-            if len(heap) < count:
-                heappush(heap, -t)
-            elif t < cutoff:
-                heapreplace(heap, -t)
-            if len(heap) == count:
-                cutoff = -heap[0]
     found.sort()
-    return _least(found, count)
+    return found
 
 
 def _congruence_primes(a: int, b: int) -> list[int]:
@@ -293,36 +277,20 @@ def _lattice_search(a: int, b: int, bases, ybound: int, zbound: int):
     return sorted(found)
 
 
-def _box_solutions(a: int, b: int, ybound: int, zbound: int, count: int, primes):
-    """_least(points, count) of the sorted primitive points with 0 <= y <= ybound,
+def _box_solutions(a: int, b: int, ybound: int, zbound: int, primes):
+    """The sorted primitive points of least x with 0 <= y <= ybound,
     0 <= z <= zbound."""
     cells = (ybound + 1) * (zbound + 1)
     if cells > LATTICE_CELLS:
         bases, candidates = _lattices(a, b, ybound, zbound, primes)
         if candidates <= cells:
-            return _least(_lattice_search(a, b, bases, ybound, zbound), count)
+            found = _lattice_search(a, b, bases, ybound, zbound)
+            return [p for p in found if p[0] == found[0][0]]
         # a large box back on the cell scan reads the local symbols first:
         # an unsolvable conic has no point to scan for
         if not is_solvable(a, b):
             return []
-    return _search(a, b, ybound, zbound, count)
-
-
-def _holzer_points(a: int, b: int, count: int, primes):
-    """(ybound, zbound, points): the Holzer box of (a, b) and _least(points, count)
-    of its sorted primitive points, which are never empty.
-
-    Holzer's theorem puts a point in the box of every solvable conic, so a point
-    found proves solvability; the local symbols are read only for an empty box,
-    to tell NotSolvable from SearchExhausted.
-    """
-    ybound, zbound = isqrt(abs(b)), isqrt(abs(a))
-    found = _box_solutions(a, b, ybound, zbound, count, primes)
-    if not found:
-        if not is_solvable(a, b):
-            raise NotSolvable(f"x^2 - {a}y^2 - {b}z^2 = 0 has no rational point")
-        raise SearchExhausted(f"no solution for ({a}, {b}) inside the Holzer box")
-    return ybound, zbound, found
+    return _search(a, b, ybound, zbound)
 
 
 def solve_pair(a: int, b: int) -> tuple[ConicSolution, ConicSolution]:
@@ -343,7 +311,14 @@ def solve_pair_squarefree(a: int, b: int, primes) -> tuple[ConicSolution, ConicS
     empty Holzer box (NotSolvable or SearchExhausted), or a large box sent
     back to the cell scan."""
     _nonzero(a, b)
-    _, _, found = _holzer_points(a, b, 1, primes)
+    found = _box_solutions(a, b, isqrt(abs(b)), isqrt(abs(a)), primes)
+    if not found:
+        # Holzer's theorem puts a point in the box of every solvable conic, so a
+        # point found proves solvability; only an empty box reads the local
+        # symbols, to tell NotSolvable from SearchExhausted
+        if not is_solvable(a, b):
+            raise NotSolvable(f"x^2 - {a}y^2 - {b}z^2 = 0 has no rational point")
+        raise SearchExhausted(f"no solution for ({a}, {b}) inside the Holzer box")
     x, z, y = min((x, z, y) for x, y, z in found)
     return ConicSolution(*found[0], a, b), ConicSolution(x, z, y, b, a)
 
@@ -361,12 +336,27 @@ def solve(a: int, b: int) -> ConicSolution:
     return solve_pair(a, b)[0]
 
 
-def enumerate_solutions(a: int, b: int, count: int) -> list[ConicSolution]:
-    """count distinct primitive solutions, no two related by coordinate sign flips."""
-    primes = _congruence_primes(a, b)
-    ybound, zbound, found = _holzer_points(a, b, max(count, 1), primes)
-    while len(found) < count:
-        ybound = 2 * ybound + 1
-        zbound = 2 * zbound + 1
-        found = _box_solutions(a, b, ybound, zbound, count, primes)
-    return [ConicSolution(x, y, z, a, b) for x, y, z in found[:count]]
+def chord_points(sol: ConicSolution) -> tuple[ConicSolution, ConicSolution]:
+    """Two more nonnegative points of the conic of sol, none of the three a sign
+    flip of another.
+
+    The line through P = sol along V meets the conic again in
+    Q = F(V)*P - 2*B(P, V)*V, for the form F and its bilinear form B.  Distinct t
+    give distinct lines along V = (0, 1, t), or (1, 0, t) when P has x = 0, so
+    distinct Q; at most 4 meet a sign flip of P and 3 one of the first Q taken,
+    so the walk stops by t = 8.
+    """
+    x, y, z, a, b = sol
+    _nonzero(a, b)
+    taken = [(abs(x), abs(y), abs(z))]
+    for t in count():
+        u, v, w = (0, 1, t) if x else (1, 0, t)
+        f = u * u - a * v * v - b * w * w
+        g = 2 * (x * u - a * y * v - b * z * w)
+        q = (abs(f * x - g * u), abs(f * y - g * v), abs(f * z - g * w))
+        d = gcd(*q)
+        q = (q[0] // d, q[1] // d, q[2] // d)
+        if q not in taken:
+            taken.append(q)
+            if len(taken) == 3:
+                return ConicSolution(*taken[1], a, b), ConicSolution(*taken[2], a, b)

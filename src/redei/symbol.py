@@ -28,7 +28,7 @@ from .arith import (
     kronecker,
     square_class,
 )
-from .conic import ConicSolution, enumerate_solutions, solve_pair_squarefree
+from .conic import ConicSolution, chord_points, solve_pair_squarefree
 from .errors import (
     DegenerateSquareClass,
     InvalidTriple,
@@ -374,15 +374,15 @@ def verify_reciprocity(a, b, c) -> ReciprocityReport:
 def verify_twist_independence(a, b, c) -> list[tuple[int, int, int, int, int]]:
     """Evaluate [a, b, c] from other witnesses of (a, b) and compare with redei_symbol.
 
-    The other witnesses come from the next two conic points and from twists of
-    the least witness by the first two generators of the twisting group; the value depends
-    on neither choice.  Returns (a, b, c, value, other) for each witness that
+    The other witnesses come from the two chord points of the least conic point
+    (conic.chord_points) and from twists of the least witness by the first two
+    generators of the twisting group; the value depends on neither choice.  Returns (a, b, c, value, other) for each witness that
     gives another value, on the square classes of the arguments."""
     trace = redei_symbol(a, b, c)
     a, b, c, w = trace.a, trace.b, trace.c, trace.witness
     if w is None:
         raise TrivialClass("twist independence needs nontrivial classes")
-    alternates = [witness_from_solution(a, b, sol) for sol in enumerate_solutions(a, b, 3)[1:]]
+    alternates = [witness_from_solution(a, b, sol) for sol in chord_points(w.solution)]
     alternates += [twist_witness(w, t) for t in twisting_group(a, b).generators[:2]]
     return [
         (a, b, c, trace.value, other)

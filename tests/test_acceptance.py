@@ -6,7 +6,7 @@ import random
 import time
 
 from redei.arith import is_fundamental_discriminant, square_class
-from redei.conic import enumerate_solutions, is_solvable
+from redei.conic import ConicSolution, chord_points, is_solvable, solve
 from redei.oracle import enumerate_classes, narrow_ranks
 from redei.redeimatrix import (
     _primes_upto,
@@ -50,8 +50,12 @@ def test_criterion_1_worked_example():
     assert m.as_lists() == [[1, 0, 0], [1, 0, 0], [0, 0, 0]]
     assert redei_symbol(-20, 41, 5).value == -1
     assert redei_symbol(-20, 41, 41).value == -1
-    sols = {(s.x, s.y, s.z) for s in enumerate_solutions(-20, 41, 8)}
-    assert (12, 1, 2) in sols and (17, 2, 3) in sols
+    for x, y, z in ((12, 1, 2), (17, 2, 3)):
+        ConicSolution(x, y, z, -20, 41)  # raises for a point off the conic
+    p = solve(-20, 41)
+    assert [(q.x, q.y, q.z) for q in (p, *chord_points(p))] == [
+        (7, 4, 3), (147, 2, 23), (252, 61, 58)
+    ]
     group = enumerate_classes(-820)
     assert group.order == 8
     assert narrow_ranks(-820) == (2, 1, 0)  # order 8 + these ranks = Z/2 x Z/4
@@ -104,7 +108,7 @@ def test_criterion_3_choice_independence():
             continue
         base = redei_symbol(a, b, c).value
         w = minimally_ramified_witness(a, b)
-        witnesses = [witness_from_solution(a, b, s) for s in enumerate_solutions(a, b, 3)[1:]]
+        witnesses = [witness_from_solution(a, b, s) for s in chord_points(w.solution)]
         witnesses += [twist_witness(w, t) for t in twisting_group(a, b).sample()[:2]]
         assert len(witnesses) >= 3
         for alt in witnesses:

@@ -370,6 +370,13 @@ def test_verify_bounds_checked_before_any_work(capsys, monkeypatch):
     assert (code, out, err) == (5, "", "bad input: --max -1 is negative\n")
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_verify_jobs_below_one_exit_5(capsys, jobs):
+    # as a negative --max, a --jobs below 1 is bad input, not a serial run
+    code, out, err = run(capsys, "verify", "reciprocity", "--max", "6", "--jobs", jobs)
+    assert (code, out, err) == (5, "", f"bad input: --jobs {jobs} is below 1\n")
+
+
 ENVELOPES = {
     "symbol": (("symbol", "-20", "41", "5"), {"inputs", "canonical", "result"}),
     "ranks": (("ranks", "-205"), {"inputs", "canonical", "result"}),

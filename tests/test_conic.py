@@ -13,7 +13,7 @@ from redei.conic import (
     _congruence_primes,
     _lattice_search,
     _lattices,
-    enumerate_solutions,
+    chord_points,
     is_solvable,
     solve,
     solve_pair,
@@ -69,8 +69,8 @@ def test_solve_examples():
     s = solve(1000033, -2000029)
     assert (s.x, s.y, s.z) == (98969, 305, 204)
     assert solve(1000033, -2000029) == s
-    sols = {(s.x, s.y, s.z) for s in enumerate_solutions(-20, 41, 6)}
-    assert (12, 1, 2) in sols and (17, 2, 3) in sols
+    s = solve(-20, 41)
+    assert (s.x, s.y, s.z) == (7, 4, 3)
 
 
 def test_solve_holzer_bounds_and_primitivity():
@@ -90,12 +90,17 @@ def test_solve_holzer_bounds_and_primitivity():
 
 
 def test_solve_succeeds_when_solvable_full_range():
-    # exhaustive: every solvable squarefree pair up to 200 has a Holzer-box solution
+    # exhaustive: every solvable squarefree pair up to 200 has a Holzer-box
+    # solution, and two chord points beside it, distinct, nonnegative, no sign
+    # flip of the least point, and on the conic and primitive (ConicSolution
+    # checks both)
     vals = [n for n in range(-200, 201) if n and square_class(n) == n]
     for a in vals:
         for b in vals:
             if is_solvable(a, b):
-                solve(a, b)
+                p = solve(a, b)
+                points = [(p.x, p.y, p.z)] + [(q.x, q.y, q.z) for q in chord_points(p)]
+                assert len(set(points)) == 3 and min(map(min, points)) >= 0, (a, b, points)
 
 
 def test_lattice_matches_cell_loop_small_range():
@@ -115,7 +120,7 @@ def test_lattice_matches_cell_loop_squarefree():
 
 
 def test_lattice_matches_cell_loop_wider_boxes():
-    # the boxes enumerate_solutions widens to, with |y| and |z| past the Holzer bounds
+    # boxes that are not Holzer boxes, with |y| and |z| past the Holzer bounds
     for a in (-5, -1, 2, 3, 7, -20, 41):
         for b in (-7, 2, 5, 13, 41, -15):
             for box in ((13, 5), (27, 11), (55, 23)):
@@ -153,33 +158,6 @@ def test_solve_pair_ties():
         ab, ba = pair_points(a, b)
         assert ab[0] == ba[0] and ba != (ab[0], ab[2], ab[1]), (a, b)
         assert (ab, ba) == least_points(a, b, *holzer_box(a, b)), (a, b)
-
-
-def test_enumerate_solutions_matches_cell_loop():
-    # the boxes widen as in enumerate_solutions; the pruned scan keeps the same
-    # first count points, on the cell scan and past LATTICE_CELLS on the lattices
-    boxes = {}
-
-    def points(a, b, box):
-        if (a, b, box) not in boxes:
-            boxes[a, b, box] = cell_loop(a, b, *box)
-        return boxes[a, b, box]
-
-    for a in range(-40, 41):
-        for b in range(-40, 41):
-            if a == 0 or b == 0:
-                continue
-            for count in (1, 2, 3, 5):
-                box = holzer_box(a, b)
-                if not points(a, b, box):
-                    with pytest.raises(NotSolvable):
-                        enumerate_solutions(a, b, count)
-                    continue
-                while len(points(a, b, box)) < count:
-                    box = (2 * box[0] + 1, 2 * box[1] + 1)
-                found = [(s.x, s.y, s.z) for s in enumerate_solutions(a, b, count)]
-                if found != points(a, b, box)[:count]:
-                    pytest.fail(f"enumerate_solutions({a}, {b}, {count}) = {found}")
 
 
 @st.composite
@@ -247,20 +225,19 @@ def test_is_solvable_matches_sympy():
                 assert px * px - a * py * py - b * pz * pz == 0
 
 
-def test_enumerate_solutions():
-    sols = enumerate_solutions(-1, 2, 1)
-    assert [(s.x, s.y, s.z) for s in sols] == [(1, 1, 1)]
-    sols = enumerate_solutions(3, 13, 2)
-    assert len(sols) == 2
-    assert (4, 1, 1) == (sols[0].x, sols[0].y, sols[0].z)
-    seen = {(s.x, s.y, s.z) for s in sols}
-    assert len(seen) == 2
-    # expansion past the Holzer box still yields primitive exact solutions
-    many = enumerate_solutions(-1, 2, 8)
-    assert len({(s.x, s.y, s.z) for s in many}) == 8
-    for s in many:
-        assert s.x**2 + s.y**2 - 2 * s.z**2 == 0
-        assert gcd(gcd(s.x, s.y), s.z) == 1
+def chords(a, b):
+    return [(q.x, q.y, q.z) for q in chord_points(solve(a, b))]
+
+
+def test_chord_points():
+    # through (1, 1, 1), the lines along (0, 1, 0) and (0, 1, 1) meet the sign
+    # flips (1, -1, 1) and (-1, 1, 1); the line along (0, 1, 2) gives (-7, -1, 5)
+    assert chords(-1, 2) == [(7, 1, 5), (17, 7, 13)]
+    assert chords(3, 13) == [(220, 3, 61), (40, 3, 11)]
+    assert chords(-20, 41) == [(147, 2, 23), (252, 61, 58)]
+    # the least point (0, 1, 1) has x = 0, so the lines run along (1, 0, t)
+    assert chords(-5, 5) == [(5, 2, 3), (20, 19, 21)]
+    assert chords(5, -5) == [(5, 3, 2), (20, 21, 19)]
 
 
 def test_off_conic_point_rejected_under_optimize():
@@ -293,14 +270,14 @@ def test_zero_coefficients_rejected():
     with pytest.raises(ZeroInput, match="conic coefficients must be nonzero"):
         solve(0, 5)
     with pytest.raises(ZeroInput, match="conic coefficients must be nonzero"):
-        enumerate_solutions(3, 0, 2)
+        chord_points(ConicSolution(1, 1, 0, 1, 0))
 
 
 def test_zero_input_is_rejected_before_factoring():
     calls = (
         lambda: solve(0, 5),
         lambda: solve_pair(5, 0),
-        lambda: enumerate_solutions(0, 3, 2),
+        lambda: chord_points(ConicSolution(1, 0, 1, 0, 1)),
         lambda: solve_pair_squarefree(0, 5, []),
     )
     for call in calls:
@@ -309,8 +286,8 @@ def test_zero_input_is_rejected_before_factoring():
 
 
 def test_conic_factors_once_per_coefficient(monkeypatch):
-    # the public entries factor a and b once each; every box below them, the
-    # widened boxes of enumerate_solutions included, reads those primes
+    # the public entries factor a and b once each, and every box below them
+    # reads those primes; the chord points factor nothing
     calls = []
 
     def counting_factor(n, *args):
@@ -318,12 +295,11 @@ def test_conic_factors_once_per_coefficient(monkeypatch):
         return factor(n, *args)
 
     monkeypatch.setattr(conic, "factor", counting_factor)
-    assert len(enumerate_solutions(-4999, 2474, 3)) == 3
+    ab, _ = solve_pair(-4999, 2474)
     assert sorted(calls) == [-4999, 2474]
     calls.clear()
-    solve_pair(-4999, 2474)
-    assert sorted(calls) == [-4999, 2474]
-    calls.clear()
+    chord_points(ab)
+    assert calls == []
     solve_pair_squarefree(-4999, 2474, [1237, 4999])
     assert calls == []
 
@@ -358,8 +334,8 @@ def test_solve_pair_squarefree_factors_only_for_the_local_symbols(monkeypatch):
 def test_empty_box_reads_the_local_symbols(monkeypatch):
     # solvability comes from the search; only an empty box consults is_solvable,
     # which tells an unsolvable conic from a search that missed
-    monkeypatch.setattr(conic, "_box_solutions", lambda a, b, ybound, zbound, count, primes: [])
-    for find in (solve, lambda a, b: enumerate_solutions(a, b, 2)):
+    monkeypatch.setattr(conic, "_box_solutions", lambda a, b, ybound, zbound, primes: [])
+    for find in (solve, solve_pair):
         with pytest.raises(SearchExhausted):
             find(-20, 41)
         with pytest.raises(NotSolvable):
@@ -369,7 +345,7 @@ def test_empty_box_reads_the_local_symbols(monkeypatch):
 def test_unsolvable_large_box_is_not_scanned(monkeypatch):
     # 3^2 and 100003^2 leave the lattices more candidates than the box's
     # 1e6 cells, so the box goes back to the cell scan, which must not run
-    def no_scan(a, b, ybound, zbound, count):
+    def no_scan(a, b, ybound, zbound):
         pytest.fail(f"scanned the {ybound} x {zbound} box of ({a}, {b})")
 
     monkeypatch.setattr(conic, "_search", no_scan)

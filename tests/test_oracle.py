@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 from itertools import islice
-from math import gcd, isqrt
+from math import gcd, isqrt, log, pi, sin, sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -297,6 +297,41 @@ def test_class_number_formula():
         total = sum(a * kronecker(D, a) for a in range(1, -D))
         assert total % D == 0, D
         assert enumerate_classes(D).order == total // D, D
+        checked += 1
+
+
+def log_fundamental_unit(D: int) -> tuple[float, int]:
+    """(log eps_D, period) from one continued-fraction period of the reduced
+    xi = (P + sqrt D)/2, P = D mod 2 + 2k: eps_D is the product of the
+    complete quotients (P_i + sqrt D)/Q_i over the period, of norm (-1)**period."""
+    s, root = isqrt(D), sqrt(D)
+    P = D % 2 + 2 * ((s - D % 2) // 2)  # the k making -1 < conj(xi) < 0
+    P0, Q = P, 2
+    total, period = 0.0, 0
+    while True:
+        total += log((P + root) / Q)
+        period += 1
+        P = (P + s) // Q * Q - P
+        Q = (D - P * P) // Q
+        if (P, Q) == (P0, 2):
+            return total, period
+
+
+def test_class_number_formula_real():
+    # Dirichlet: h(D) log eps_D = -1/2 sum_{a=1}^{D-1} (D/a) log sin(pi a/D) for
+    # fundamental D > 0, and the narrow h+ is h when N(eps_D) = -1, else 2h
+    rng = random.Random(32)
+    checked = 0
+    while checked < 60:
+        D = rng.randint(5, 2 * 10**4)
+        if not is_fundamental_discriminant(D):
+            continue
+        log_eps, period = log_fundamental_unit(D)
+        total = sum(kronecker(D, a) * log(sin(pi * a / D)) for a in range(1, D))
+        h = -total / (2 * log_eps)
+        assert abs(h - round(h)) < 1e-6, (D, h)
+        narrow = round(h) if period % 2 else 2 * round(h)
+        assert enumerate_classes(D).order == narrow, D
         checked += 1
 
 

@@ -18,7 +18,7 @@ from redei.arith import (
     signed_prime_decomposition,
     square_class,
 )
-from redei.conic import enumerate_solutions, solve
+from redei.conic import chord_points, solve
 from redei.errors import (
     DegenerateSquareClass,
     FactorLimitExceeded,
@@ -298,12 +298,28 @@ def test_choice_independence():
             continue
         base = redei_symbol(a, b, c).value
         w = minimally_ramified_witness(a, b)
-        for sol in enumerate_solutions(a, b, 3)[1:]:
+        for sol in chord_points(w.solution):
             alt = witness_from_solution(a, b, sol)
             assert _symbol_from_witness(alt, c).value == base, (a, b, c)
         for t in twisting_group(a, b).sample()[:3]:
             alt = twist_witness(w, t)
             assert _symbol_from_witness(alt, c).value == base, (a, b, c, t)
+        done += 1
+
+
+def test_choice_independence_large_entries():
+    # entries up to 1e6: the chord points reach about 41 bits, far from the
+    # least point of the Holzer box, and still give the symbol's value
+    rng = random.Random(31)
+    done = 0
+    while done < 30:
+        a, b, c = (square_class(rng.randint(2, 10**6) * rng.choice((1, -1))) for _ in range(3))
+        if len({a, b, c}) != 3 or 1 in (a, b, c) or not is_valid_triple(a, b, c):
+            continue
+        base = redei_symbol(a, b, c).value
+        for sol in chord_points(minimally_ramified_witness(a, b).solution):
+            alt = witness_from_solution(a, b, sol)
+            assert _symbol_from_witness(alt, c).value == base, (a, b, c, sol)
         done += 1
 
 
