@@ -376,8 +376,9 @@ def verify_twist_independence(a, b, c) -> list[tuple[int, int, int, int, int]]:
 
     The other witnesses come from the two chord points of the least conic point
     (conic.chord_points) and from twists of the least witness by the first two
-    generators of the twisting group; the value depends on neither choice.  Returns (a, b, c, value, other) for each witness that
-    gives another value, on the square classes of the arguments."""
+    generators of the twisting group; the value depends on neither choice.
+    Returns (a, b, c, value, other) for each witness that gives another value,
+    on the square classes of the arguments."""
     trace = redei_symbol(a, b, c)
     a, b, c, w = trace.a, trace.b, trace.c, trace.witness
     if w is None:
