@@ -86,9 +86,9 @@ _RHO_STEPS = 64
 
 # The one cache policy of the package.  A memo keyed on values that grow with a
 # sweep (an integer, a discriminant, a pair of arguments) is bounded at
-# CACHE_SIZE, so a long sweep runs in bounded memory.  arith holds two: the
-# record memo _arg, keyed on the argument, and the factor memo _factor_abs,
-# keyed on the odd part, so n and 2**k * n share one entry.  The one table keyed
+# CACHE_SIZE, so a long sweep runs in bounded memory.  arith holds one: the
+# record memo _arg, keyed on the argument, through which every path reads an
+# argument's square class and primes; factor keeps no memo.  The one table keyed
 # on residues, quadfield._unit_squares (keyed on a basis mod 4), stays
 # unbounded: it has at most a handful of entries.  The primes below TRIAL_LIMIT
 # and their product (_small_primes) are a constant, built on first use.
@@ -222,11 +222,10 @@ def _strip(m: int, p: int, out: list) -> int:
     return m
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _factor_abs(m: int, bound: int) -> tuple[tuple[int, int], ...]:
-    """(p, e) pairs, primes ascending, of an odd m >= 1; see factor."""
+def _factor_abs(m: int, bound: int) -> list[tuple[int, int]]:
+    """(p, e) pairs, primes ascending, of m >= 1; see factor."""
     out = []
-    for p in (3, 5):
+    for p in (2, 3, 5):
         if m % p == 0:
             m = _strip(m, p, out)
     c, i = 7, 0
@@ -258,7 +257,7 @@ def _factor_abs(m: int, bound: int) -> tuple[tuple[int, int], ...]:
                         if sum(e for _, e in above) > 1:
                             # the cofactor trial division up to the bound leaves
                             raise _limit_exceeded(prod(p**e for p, e in above), bound)
-                        return tuple(out) + split
+                        return out + list(split)
             if c > bound:
                 raise _limit_exceeded(m, bound)
             limit = bound  # rho ran out of steps: trial-divide up to the bound
@@ -268,28 +267,20 @@ def _factor_abs(m: int, bound: int) -> tuple[tuple[int, int], ...]:
         i = (i + 1) % 8
     if m > 1:
         out.append((m, 1))
-    return tuple(out)
+    return out
 
 
 def _limit_exceeded(m: int, bound: int) -> FactorLimitExceeded:
     return FactorLimitExceeded(f"unfactored cofactor {m} exceeds certification bound {bound}**2")
 
 
-def _factorization(m: int, bound: int) -> tuple[tuple[int, int], ...]:
-    """(p, e) pairs of m >= 1: the power of 2 split off, the odd part from the memo."""
-    if m & 1:
-        return _factor_abs(m, bound)
-    v = (m & -m).bit_length() - 1
-    return ((2, v),) + _factor_abs(m >> v, bound)
-
-
 def factor(n: int, bound: int | None = None) -> list[tuple[int, int]]:
     """Factor n != 0 into [(p, e), ...], primes ascending: sign(n) * prod(p**e) == n.
 
-    The power of 2 is split off first, so n and 2**k * n share one memo entry.
-    The odd part is trial-divided by the primes below TRIAL_LIMIT = 2**10: by
-    a wheel mod 30 while the cofactor is below 1031**2, and from there on by
-    one gcd with their product.  A cofactor left over with no prime factor
+    The primes 2, 3 and 5 are divided out first, and the cofactor is
+    trial-divided by the primes below TRIAL_LIMIT = 2**10: by a wheel mod 30
+    while the cofactor is below 1031**2, and from there on by one gcd with
+    their product.  A cofactor left over with no prime factor
     below 1031 is certified by Miller-Rabin on the first k prime bases, k least
     with the cofactor below psi_k (k = 5 near 10**12), exact below
     psi_13 = 3317044064679887385961981.  A composite cofactor below psi_13 is
@@ -302,31 +293,22 @@ def factor(n: int, bound: int | None = None) -> list[tuple[int, int]]:
     FactorLimitExceeded whenever n has two or more prime factors above bound,
     counted with multiplicity, and whenever a cofactor above bound**2 cannot be
     certified prime.  Every prime returned is below bound**2 or certified by
-    Miller-Rabin below psi_13.
+    Miller-Rabin below psi_13.  Nothing is memoized here: the square classes
+    and primes the package reads again come from the record memo _arg.
     """
     n = n if type(n) is int else _integer(n)
     if n == 0:
         raise ZeroInput("cannot factor 0")
-    return list(_factorization(abs(n), trial_bound if bound is None else bound))
+    return _factor_abs(abs(n), trial_bound if bound is None else bound)
 
 
 def prime_divisors(n: int) -> list[int]:
     return [p for p, _ in factor(n)]
 
 
-def _class_primes(q) -> tuple[int, list[int]]:
-    """(n, primes): the square class n of the integer q and its primes, ascending."""
-    q = q if type(q) is int else _integer(q)
-    if q == 0:
-        raise ZeroInput("0 has no square class")
-    primes = [p for p, e in _factorization(abs(q), trial_bound) if e & 1]
-    n = prod(primes)
-    return (-n if q < 0 else n), primes
-
-
 def square_class(q: int) -> int:
     """Canonical squarefree representative of the integer q in Q*/Q*^2."""
-    return _class_primes(q)[0]
+    return _arg(q if type(q) is int else _integer(q)).n
 
 
 class _Arg:
@@ -360,8 +342,15 @@ def _record(n: int, primes) -> _Arg:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _arg(q) -> _Arg:
-    """The record of the square class of q, memoized: q is factored once."""
-    return _record(*_class_primes(q))
+    """The record of the square class of the integer q, memoized: q is factored
+    once, under trial_bound, and square_class, the discriminant tests, the
+    place check of hilbert and the symbol all read this one entry."""
+    q = q if type(q) is int else _integer(q)
+    if q == 0:
+        raise ZeroInput("0 has no square class")
+    primes = [p for p, e in _factor_abs(abs(q), trial_bound) if e & 1]
+    n = prod(primes)
+    return _record(-n if q < 0 else n, primes)
 
 
 def kronecker(a: int, n: int) -> int:
@@ -449,18 +438,13 @@ def discriminant(a: int) -> int:
     return a if a % 4 == 1 else 4 * a
 
 
-def _fundamental_factorization(D: int):
-    """The factorization of |D| if D is a fundamental discriminant, else None:
-    D != 1 is 1 mod 4, or 4m with m = 2 or 3 mod 4, and its odd part squarefree."""
-    if D % 4 == 1 and D != 1 or D % 16 in (8, 12):
-        f = _factorization(abs(D), trial_bound)
-        if all(e == 1 for p, e in f if p != 2):
-            return f
-
-
 def is_fundamental_discriminant(D: int) -> bool:
+    """True iff D != 1 is squarefree and 1 mod 4, or D = 4m with m squarefree
+    and 2 or 3 mod 4: iff D, or m, is the square class of its own record."""
     D = D if type(D) is int else _integer(D)
-    return _fundamental_factorization(D) is not None
+    if D % 4 == 1:
+        return D != 1 and _arg(D).n == D
+    return D % 16 in (8, 12) and _arg(D // 4).n == D // 4
 
 
 def _p_star(p: int) -> int:
@@ -490,10 +474,9 @@ class SignedPrimeDecomposition(namedtuple("SignedPrimeDecomposition", "odd_parts
 def signed_prime_decomposition(D: int) -> SignedPrimeDecomposition:
     """Factor a fundamental discriminant into signed prime discriminants."""
     D = D if type(D) is int else _integer(D)
-    f = _fundamental_factorization(D)
-    if f is None:
+    if not is_fundamental_discriminant(D):
         raise NotFundamental(f"{D} is not a fundamental discriminant")
-    odd = tuple(_p_star(p) for p, _ in f if p != 2)
+    odd = tuple(_p_star(p) for p in _arg(D if D & 1 else D // 4).odd)
     two_part = D // prod(odd)
     if two_part not in (1, -4, 8, -8):
         raise InvariantViolated(f"2-part {two_part} of {D}")
@@ -526,7 +509,7 @@ def hilbert(a: int, b: int, v) -> int:
     if v is INFINITY:
         return -1 if a < 0 and b < 0 else 1
     p = v if type(v) is int else _integer(v)
-    if p < 2 or factor(p) != [(p, 1)]:
+    if p < 2 or p != 2 and _arg(p).odd != (p,):  # a prime is 2 or its record's one odd prime
         raise InvariantViolated(f"{v!r} is not a place of Q")
     alpha, beta = padic_val(a, p), padic_val(b, p)
     # a and b over even powers of p; at 2 as records, whose 2-adic fields alone are read

@@ -204,7 +204,12 @@ def _twist_item(triple) -> list:
     return verify_twist_independence(*triple)
 
 
+GOVERNING_BOUND = 10**8  # governing sieves a bytearray of --max + 1 bytes
+
+
 def _governing_work(bound: int, seed: int) -> list:
+    if bound > GOVERNING_BOUND:  # checked at the call, before any sieve is built
+        raise BoundExceeded(f"--max {bound} exceeds the governing bound {GOVERNING_BOUND}")
     return [(d, bound) for d in (-1, 2, -2, 3, -3, 5)]
 
 
@@ -304,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
         "product-formula draws --max pairs with |a|, |b| <= 10^6 from --seed. "
         "twist-independence draws --max valid triples with "
         f"|n| <= {TWIST_ENTRY_BOUND} from --seed. "
-        "governing sweeps the primes p <= --max for d in -1, 2, -2, 3, -3, 5.",
+        "governing sweeps the primes p <= --max for d in -1, 2, -2, 3, -3, 5, "
+        f"and exits 5 on a --max above {GOVERNING_BOUND} before it sieves.",
     )
     p_verify.add_argument("suite", choices=sorted(_SUITES))
     p_verify.add_argument("--max", type=int, default=None, help="sweep size / bound")

@@ -6,9 +6,11 @@ Matrix conventions: F2 entries as int bitmasks (bit j = column j); labels are
 ordered 2-part first, then odd primes ascending.  The R8 matrix keeps all
 r4+1 kernel columns; the rank formula already accounts for the dependency.
 
-D is factored once, by the memoized build_R4: its labels are the signed parts
-and their primes, so r2 is its size, and every divisor of D the rest of the
-pipeline reads (each d1, d2 and m of R8) takes its primes from those labels.
+D is factored once, into the record of d = D or D/4 (arith._arg), which the
+squarefree check of d and build_R4's signed parts both read.  The labels of
+the memoized R4 are the signed parts and their primes, so r2 is its size, and
+every divisor of D the rest of the pipeline reads (each d1, d2 and m of R8)
+takes its primes from those labels.
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ from math import prod
 from . import gf2
 from .arith import (
     CACHE_SIZE,
+    _arg,
     _integer,
     _p_star,
     _primes_upto,
     _record,
     discriminant,
     kronecker,
-    prime_divisors,
     signed_prime_decomposition,
     square_class,
 )
@@ -218,9 +220,9 @@ def governing_r4_check(d: int, bound: int) -> GoverningReport:
     that r4 of the discriminant of d*p is constant on each class."""
     if d == 0:
         raise TrivialClass("d must be nonzero")
-    d = square_class(d)
-    odd_qs = [q for q in prime_divisors(d) if q != 2]
-    signed = [_p_star(q) for q in odd_qs]
+    arg = _arg(_integer(d))
+    d = arg.n
+    signed = [_p_star(q) for q in arg.odd]
     classes: dict = {}
     violations = []
     for p in _primes_upto(bound):

@@ -90,6 +90,7 @@ def test_square_class_and_prime_divisors_follow_factor(monkeypatch):
         square_class(0)
     with pytest.raises(ZeroInput):
         prime_divisors(0)
+    arith._arg.cache_clear()  # square_class reads the record memo
     monkeypatch.setattr(arith, "trial_bound", 100)
     for f in (factor, square_class, prime_divisors):
         with pytest.raises(FactorLimitExceeded):
@@ -165,6 +166,137 @@ def test_signed_parts_shape():
         assert prod == D
         for part in dec.odd_parts:
             assert part % 4 == 1
+
+
+def ref_primes(n: int) -> list[int]:
+    """The primes below n, by a sieve written apart from arith's."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\x00\x00"
+    for i in range(2, isqrt(n - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n, i)))
+    return [i for i, flag in enumerate(sieve) if flag]
+
+
+PRIMES_16 = ref_primes(1 << 16)
+
+
+def ref_odd_power_primes(q: int) -> list[int]:
+    """The primes dividing q to an odd power, ascending, by trial division."""
+    m, primes, p = abs(q), [], 2
+    while p * p <= m:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e & 1:
+            primes.append(p)
+        p += 1 if p == 2 else 2
+    if m > 1:
+        primes.append(m)
+    return primes
+
+
+@st.composite
+def square_class_arguments(draw):
+    """q = +-2**k * s * m**2 with s a product of distinct primes below 2**16
+    (2 among them or not) and |q| <= 10**12."""
+    k = draw(st.integers(0, 12))
+    m = draw(st.integers(1, 1000))
+    budget = 10**12 // (2**k * m * m)
+    s = 1
+    for p in draw(st.lists(st.sampled_from(PRIMES_16), unique=True, max_size=5)):
+        if s * p <= budget:
+            s *= p
+    return draw(st.sampled_from((1, -1))) * 2**k * s * m * m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(q=square_class_arguments())
+def test_arg_record_matches_its_definition(q):
+    # every field of the one memoized record, against the square class read
+    # off a trial division, and square_class is the record's class
+    primes = ref_odd_power_primes(q)
+    n = (-1 if q < 0 else 1) * prod(primes)
+    even = 1 if n % 2 == 0 else 0
+    u = n >> even  # the odd part
+    eps, omega = (u - 1) // 2 % 2, (u * u - 1) // 8 % 2
+    arith._arg.cache_clear()
+    rec = arith._arg(q)
+    fields = (rec.n, rec.negative, rec.even, rec.odd, rec.eps, rec.omega, rec.local)
+    local = (q < 0) << 3 | even << 2 | eps << 1 | omega
+    expected = (n, q < 0, even, tuple(primes[even:]), eps, omega, local)
+    assert fields == expected, q
+    assert square_class(q) == rec.n
+
+
+def ref_is_fundamental(D: int, squarefree) -> bool:
+    """The definition: D != 1 is squarefree and 1 mod 4, or D = 4m with m
+    squarefree and 2 or 3 mod 4."""
+    if D % 4 == 1:
+        return D != 1 and squarefree(D)
+    return D % 4 == 0 and D // 4 % 4 in (2, 3) and squarefree(D // 4)
+
+
+def check_decomposition(D: int):
+    """The signed parts of an accepted D: prime discriminants with product D."""
+    dec = signed_prime_decomposition(D)
+    assert prod(dec.parts) == D, D
+    assert dec.two_part in ((1,) if D % 2 else (-4, 8, -8)), D
+    primes = [abs(part) for part in dec.odd_parts]
+    assert primes == sorted(set(primes)) and all(part % 4 == 1 for part in dec.odd_parts), D
+    return dec
+
+
+def test_fundamental_discriminants_match_the_definition():
+    # exhaustively for |D| <= 2 * 10**4, against a sieve of the squareful numbers
+    N = 2 * 10**4
+    squareful = bytearray(N + 1)
+    for p in range(2, isqrt(N) + 1):
+        squareful[p * p :: p * p] = b"\x01" * len(range(p * p, N + 1, p * p))
+    prime = set(ref_primes(N + 1))
+    accepted = 0
+    for D in range(-N, N + 1):
+        expected = ref_is_fundamental(D, lambda m: not squareful[abs(m)])
+        assert is_fundamental_discriminant(D) == expected, D
+        if expected:
+            accepted += 1
+            assert all(abs(part) in prime for part in check_decomposition(D).odd_parts), D
+        else:
+            with pytest.raises(NotFundamental):
+                signed_prime_decomposition(D)
+    assert accepted == 12160
+
+
+def test_fundamental_discriminants_to_1e12():
+    # seeded D up to 10**12: a planted square p**2 (odd p < 10**5) in D = 1 mod
+    # 4 or in m of D = 4m, m = 2, 3 mod 4, and D = 4m with m = 1 mod 4, each
+    # rejected; products of signed prime discriminants, each accepted with
+    # exactly those parts
+    rng = random.Random(32)
+    odd_primes = ref_primes(10**5)[1:]
+    planted, four_m = [], []
+    for _ in range(150):
+        p = rng.choice(odd_primes)
+        r = rng.randrange(1, 10**12 // (p * p), 2)
+        planted.append(p * p * (r if r % 4 == 1 else -r))  # 1 mod 4, as p**2 is
+        r = rng.randrange(1, 10**12 // (4 * p * p) - 2)
+        planted.append(4 * p * p * (r if r % 4 in (2, 3) else -r if r % 4 == 1 else r + 2))
+        m = rng.randrange(1, 10**12 // 4, 2)
+        four_m.append(4 * (m if m % 4 == 1 else -m))
+    assert all(D % 4 == 1 or D % 16 in (8, 12) for D in planted)
+    assert all(D % 16 == 4 for D in four_m)
+    for D in planted + four_m:
+        assert abs(D) <= 10**12 and not is_fundamental_discriminant(D), D
+        with pytest.raises(NotFundamental):
+            signed_prime_decomposition(D)
+    for _ in range(300):
+        two_part = rng.choice((1, -4, 8, -8))
+        odd = sorted(rng.sample(PRIMES_16[1:], rng.randint(1 if two_part == 1 else 0, 3)))
+        odd_parts = tuple(p if p % 4 == 1 else -p for p in odd)
+        D = two_part * prod(odd_parts)
+        assert is_fundamental_discriminant(D), D
+        assert check_decomposition(D) == (odd_parts, two_part), D
 
 
 def test_hilbert_examples():
@@ -328,6 +460,8 @@ def test_every_entry_reads_its_argument_through_one_check(entry, n, q):
             pytest.fail(f"{entry}: {same!r} gives {f(same)!r}, {n} gives {expected!r}")
     with pytest.raises(InvariantViolated):
         f(q)
+    with pytest.raises(InvariantViolated):  # read before any memo, which could not hash it
+        f([1])
 
 
 def test_one_cache_policy():

@@ -141,13 +141,13 @@ def test_factor_bound_read_once_per_process(capsys, monkeypatch):
     # the memos above factor (the symbol's records, the pair witnesses, R4) are
     # not keyed on the bound, so the bound cannot change within a process: a
     # variable set after import changes nothing, warm memos or cold
-    from redei import arith, redeimatrix, symbol
+    from redei import redeimatrix, symbol
 
     warm = run(capsys, *SYMBOL_PAST_BOUND)
     assert warm == (0, "+1\n", "")
     monkeypatch.setenv("REDEI_FACTOR_BOUND", "100")
     assert run(capsys, *SYMBOL_PAST_BOUND) == warm
-    for memo in (symbol._arg, symbol._pair_witnesses, redeimatrix.build_R4, arith._factor_abs):
+    for memo in (symbol._arg, symbol._pair_witnesses, redeimatrix.build_R4):
         memo.cache_clear()
     assert run(capsys, *SYMBOL_PAST_BOUND) == warm
     # a process started with the bound exits 4 on it, whatever ran before and
@@ -368,6 +368,22 @@ def test_verify_bounds_checked_before_any_work(capsys, monkeypatch):
     assert err == "bad input: --max 2000000 exceeds the oracle bound 1000000\n"
     code, out, err = run(capsys, "verify", "reciprocity", "--max", "-1")
     assert (code, out, err) == (5, "", "bad input: --max -1 is negative\n")
+
+
+def test_verify_governing_bound_checked_before_any_sieve(capsys, monkeypatch):
+    # governing sieves --max + 1 bytes: past its bound it is bad input, and
+    # nothing is sieved
+    from redei import cli, redeimatrix
+
+    def sieve(n):
+        pytest.fail(f"sieved {n}")
+
+    monkeypatch.setattr(redeimatrix, "_primes_upto", sieve)
+    for n in (cli.GOVERNING_BOUND + 1, 3 * 10**9):
+        code, out, err = run(capsys, "verify", "governing", "--max", str(n))
+        assert (code, out) == (5, "")
+        assert err == f"bad input: --max {n} exceeds the governing bound 100000000\n"
+    assert len(cli._governing_work(cli.GOVERNING_BOUND, 0)) == 6  # the bound itself is allowed
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

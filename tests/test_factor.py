@@ -259,12 +259,8 @@ def test_rho_budget_never_changes_the_answer(monkeypatch):
 
     fast = {(n, b): outcome(n, b) for n in ns for b in bounds}
     monkeypatch.setattr(arith, "_RHO_STEPS", 0)
-    arith._factor_abs.cache_clear()
-    try:
-        for (n, b), want in fast.items():
-            assert outcome(n, b) == want, (n, b)
-    finally:
-        arith._factor_abs.cache_clear()
+    for (n, b), want in fast.items():
+        assert outcome(n, b) == want, (n, b)
 
 
 def test_cap_on_large_semiprimes_reports_the_cofactor():

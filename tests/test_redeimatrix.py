@@ -253,18 +253,27 @@ def _clear_memos():
         196847072999,  # 4327 * 5527 * 8231, D = 4d
     ],
 )
-def test_ranks_factors_once(d, capsys):
+def test_ranks_factors_once(d, capsys, monkeypatch):
     # D comes from one factorization, and every divisor of D that R4, R8 and
-    # the symbols read takes its primes from D's: from cold memos, one miss
+    # the symbols read takes its primes from D's: from cold memos, d is
+    # factored once
     from redei import arith
     from redei.cli import main
 
+    real, calls = arith._factor_abs, []
+
+    def counted(m, bound):
+        calls.append(m)
+        return real(m, bound)
+
+    monkeypatch.setattr(arith, "_factor_abs", counted)
     _clear_memos()
     assert ranks(d)[1] >= 1  # so build_R8 runs
-    assert arith._factor_abs.cache_info().misses == 1
+    assert len(calls) == 1, calls
+    calls.clear()
     _clear_memos()
     assert main(["ranks", str(d), "--json"]) == 0
-    assert arith._factor_abs.cache_info().misses == 1
+    assert len(calls) == 1, calls
     capsys.readouterr()
 
 
@@ -272,11 +281,11 @@ def test_ranks_factors_once(d, capsys):
 def test_ranks_canonicalizes_d_once(d, capsys):
     # `redei ranks d` takes two square classes (the input's, and the check in
     # fundamental_discriminant), and reads both that D is fundamental and its
-    # parts from one more factorization, that of D
+    # parts from the same record: one factorization in all
     from redei import arith
     from redei.cli import main
 
-    watched = {arith.square_class.__code__: "square_class", arith._factorization.__code__: "_factorization"}
+    watched = {arith.square_class.__code__: "square_class", arith._factor_abs.__code__: "_factor_abs"}
     calls = dict.fromkeys(watched.values(), 0)
 
     def profile(frame, event, arg):
@@ -291,4 +300,4 @@ def test_ranks_canonicalizes_d_once(d, capsys):
         sys.setprofile(None)
     capsys.readouterr()
     assert code == 0
-    assert calls == {"square_class": 2, "_factorization": 3}
+    assert calls == {"square_class": 2, "_factor_abs": 1}

@@ -213,3 +213,20 @@ def test_local_code_is_set_once():
             ):
                 found.add(f"{module}:{node.lineno}")
     assert len(expected) == 1 and found == expected, found
+
+
+def test_one_factoring_route():
+    # factor keeps no memo of its own: factor and the record memo arith._arg
+    # are the only callers of _factor_abs, so every path that reads an
+    # argument's square class or primes again reads one memoized record
+    from redei import arith
+
+    assert not hasattr(arith._factor_abs, "cache_info")
+    callers = set()
+    for module, tree in _modules().items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+                if getattr(func, "id", None) == "_factor_abs" or getattr(func, "attr", None) == "_factor_abs":
+                    callers.add(f"{module}.{getattr(top, 'name', top.lineno)}")
+    assert callers == {"arith.factor", "arith._arg"}, callers
